@@ -529,6 +529,9 @@ mod tests {
         assert_eq!(check_graded(&m, 1), None);
         assert_eq!(check_fault_independence(&m, 1), None);
         assert_eq!(check_crash_display(&m, 1), None);
+        // The quotient runs on this (always equivariant) layering; arenas
+        // rely on duplicate-free layers one level deeper as well.
+        assert_eq!(check_graded(&model(2, 2), 2), None);
     }
 
     #[test]

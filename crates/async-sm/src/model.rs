@@ -586,6 +586,12 @@ mod tests {
         assert_eq!(check_graded(&m, 2), None);
         assert_eq!(check_fault_independence(&m, 1), None);
         assert_eq!(check_crash_display(&m, 1), None);
+        // The equivariant layering the quotient runs on is graded and
+        // duplicate-free too (arenas rely on duplicate-free layers).
+        assert_eq!(
+            check_graded(&m.with_layering(SmLayering::FullSplit), 2),
+            None
+        );
     }
 
     #[test]

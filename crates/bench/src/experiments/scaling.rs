@@ -16,11 +16,9 @@ use layered_core::report::Table;
 use layered_core::telemetry::json::Json;
 use layered_core::telemetry::{clock, Observer, NOOP};
 use layered_core::{
-    load_quotient, load_space, save_quotient, save_space, scan_layer_valence_connectivity,
-    scan_layer_valence_connectivity_parallel, scan_layer_valence_connectivity_quotient,
-    scan_layer_valence_connectivity_quotient_parallel, witness_to_json, ArenaMeta,
-    ImpossibilityWitness, LayeredModel, MemoryFootprint, QuotientSolver, QuotientSpace, StateSpace,
-    ValenceSolver,
+    load_arena, save_arena, scan_layer_valence_connectivity,
+    scan_layer_valence_connectivity_parallel, witness_to_json, Arena, ArenaMeta, Canonicalization,
+    Identity, ImpossibilityWitness, LayeredModel, MemoryFootprint, OrbitMin, SnapshotState, Solver,
 };
 use layered_protocols::FloodMin;
 use layered_sync_mobile::{MobileLayering, MobileModel, MODEL_KEY};
@@ -82,6 +80,94 @@ fn check_resume_compat(meta: &ArenaMeta, n: usize, layering: &str) -> Result<(),
         ));
     }
     Ok(())
+}
+
+/// What `--resume` restored for one scan: the arena twice (the sequential
+/// and parallel paths must stay independent to mean anything as a
+/// cross-check), the table note, the snapshot's integrity hash, or the
+/// error that makes the scan fail.
+struct Resumed<M: LayeredModel, C: Canonicalization<M>> {
+    spaces: Option<(Arena<M, C>, Arena<M, C>)>,
+    note: Option<String>,
+    hash: Option<String>,
+    err: Option<String>,
+}
+
+/// Restores the scan's arena from `cfg.resume_dir` (when set), refreshing
+/// differentially if the deadline moved since the snapshot was taken.
+fn resume_arenas<M, C>(
+    cfg: &ScanConfig,
+    m: &M,
+    horizon: usize,
+    file: &str,
+    layering: &str,
+    obs: &dyn Observer,
+) -> Resumed<M, C>
+where
+    M: LayeredModel,
+    M::State: SnapshotState,
+    C: Canonicalization<M>,
+{
+    let mut out = Resumed {
+        spaces: None,
+        note: None,
+        hash: None,
+        err: None,
+    };
+    let Some(dir) = &cfg.resume_dir else {
+        return out;
+    };
+    let loaded = read_snapshot(dir, file).and_then(|bytes| {
+        let (a, meta, hash) = load_arena(m, &bytes, obs).map_err(|e| e.to_string())?;
+        let (b, _, _) = load_arena(m, &bytes, obs).map_err(|e| e.to_string())?;
+        check_resume_compat(&meta, cfg.n, layering)?;
+        Ok((a, b, meta, hash))
+    });
+    match loaded {
+        Ok((mut a, mut b, meta, hash)) => {
+            out.note = Some(if meta.horizon == horizon as u64 {
+                format!(
+                    "resumed: {} {}, {} edges reused",
+                    a.len(),
+                    C::UNIT,
+                    a.edge_count()
+                )
+            } else {
+                let diff = a.refresh_differential(m, obs);
+                b.refresh_differential(m, obs);
+                format!(
+                    "deadline {} -> {horizon}: {} {} reused, {} recomputed",
+                    meta.horizon,
+                    diff.reused,
+                    C::ROW_UNIT,
+                    diff.recomputed
+                )
+            });
+            out.hash = Some(hash);
+            out.spaces = Some((a, b));
+        }
+        Err(e) => out.err = Some(e),
+    }
+    out
+}
+
+/// A scan solver over a resumed arena, or over a fresh packed one (boxed
+/// under `--boxed`).
+fn scan_solver<'a, M: LayeredModel, C: Canonicalization<M>>(
+    cfg: &ScanConfig,
+    m: &'a M,
+    horizon: usize,
+    space: Option<Arena<M, C>>,
+    obs: &'a dyn Observer,
+) -> Solver<'a, M, C> {
+    let space = space.unwrap_or_else(|| {
+        if cfg.packed {
+            Arena::new(m)
+        } else {
+            Arena::new_boxed(m)
+        }
+    });
+    Solver::with_space(m, horizon, space, obs)
 }
 
 /// The [`ArenaMeta`] a scan stamps into the snapshots it writes.
@@ -236,54 +322,16 @@ pub fn interned_scan_certified(
             let horizon = cfg.effective_horizon();
             let m = MobileModel::new(cfg.n, FloodMin::new(horizon as u16));
 
-            // Resume: restore the arena twice (the sequential and parallel
-            // paths must stay independent to mean anything as a
-            // cross-check), refreshing differentially if the deadline
-            // moved since the snapshot was taken.
-            let mut resume_err: Option<String> = None;
-            let mut resume_note: Option<String> = None;
-            let mut snapshot_hash: Option<String> = None;
-            let mut spaces = None;
-            if let Some(dir) = &cfg.resume_dir {
-                let loaded = read_snapshot(dir, STATE_SNAPSHOT_FILE).and_then(|bytes| {
-                    let (a, meta, hash) = load_space(&m, &bytes, obs).map_err(|e| e.to_string())?;
-                    let (b, _, _) = load_space(&m, &bytes, obs).map_err(|e| e.to_string())?;
-                    check_resume_compat(&meta, cfg.n, "s1")?;
-                    Ok((a, b, meta, hash))
-                });
-                match loaded {
-                    Ok((mut a, mut b, meta, hash)) => {
-                        if meta.horizon == horizon as u64 {
-                            resume_note = Some(format!(
-                                "resumed: {} states, {} edges reused",
-                                a.len(),
-                                a.edge_count()
-                            ));
-                        } else {
-                            let diff = a.refresh_differential(&m, obs);
-                            b.refresh_differential(&m, obs);
-                            resume_note = Some(format!(
-                                "deadline {} -> {horizon}: {} rows reused, {} recomputed",
-                                meta.horizon, diff.reused, diff.recomputed
-                            ));
-                        }
-                        snapshot_hash = Some(hash);
-                        spaces = Some((a, b));
-                    }
-                    Err(e) => resume_err = Some(e),
-                }
-            }
-            let (seq_space, par_space) = match spaces {
-                Some((a, b)) => (Some(a), Some(b)),
-                None => (None, None),
-            };
+            let Resumed {
+                spaces,
+                note: resume_note,
+                hash: mut snapshot_hash,
+                err: mut resume_err,
+            } = resume_arenas::<_, Identity>(&cfg, &m, horizon, STATE_SNAPSHOT_FILE, "s1", obs);
+            let (seq_space, par_space) = spaces.unzip();
 
             let start = clock::monotonic_ns();
-            let mut solver = match seq_space {
-                Some(space) => ValenceSolver::with_space(&m, horizon, space, obs),
-                None if cfg.packed => ValenceSolver::with_observer(&m, horizon, obs),
-                None => ValenceSolver::with_space(&m, horizon, StateSpace::new(), obs),
-            };
+            let mut solver = scan_solver(&cfg, &m, horizon, seq_space, obs);
             let seq = scan_layer_valence_connectivity(&mut solver, cfg.depth, true);
             let seq_ms = clock::monotonic_ns().saturating_sub(start) as f64 / 1e6;
 
@@ -292,7 +340,7 @@ pub fn interned_scan_certified(
             if resume_err.is_none() {
                 if let Some(dir) = &cfg.snapshot_dir {
                     let meta = scan_meta(&cfg, horizon, "s1");
-                    let (bytes, hash) = save_space(solver.space(), &meta, obs);
+                    let (bytes, hash) = save_arena(solver.space(), &meta, obs);
                     match write_snapshot(dir, STATE_SNAPSHOT_FILE, &bytes) {
                         Ok(()) => snapshot_hash = Some(hash),
                         Err(e) => resume_err = Some(e),
@@ -301,11 +349,7 @@ pub fn interned_scan_certified(
             }
 
             let start = clock::monotonic_ns();
-            let mut solver = match par_space {
-                Some(space) => ValenceSolver::with_space(&m, horizon, space, obs),
-                None if cfg.packed => ValenceSolver::with_observer(&m, horizon, obs),
-                None => ValenceSolver::with_space(&m, horizon, StateSpace::new(), obs),
-            };
+            let mut solver = scan_solver(&cfg, &m, horizon, par_space, obs);
             let par =
                 scan_layer_valence_connectivity_parallel(&mut solver, cfg.depth, true, cfg.threads);
             let par_ms = clock::monotonic_ns().saturating_sub(start) as f64 / 1e6;
@@ -433,55 +477,25 @@ pub fn quotient_scan_certified(
                 .with_layering(MobileLayering::Full);
             let model_label = "M^mf (Full)";
 
-            // Resume: restore the quotient arena for the sequential and
-            // parallel paths independently (see the interned twin).
-            let mut resume_err: Option<String> = None;
-            let mut resume_note: Option<String> = None;
-            let mut snapshot_hash: Option<String> = None;
-            let mut spaces = None;
-            if let Some(dir) = &cfg.resume_dir {
-                let loaded = read_snapshot(dir, QUOTIENT_SNAPSHOT_FILE).and_then(|bytes| {
-                    let (a, meta, hash) =
-                        load_quotient(&m, &bytes, obs).map_err(|e| e.to_string())?;
-                    let (b, _, _) = load_quotient(&m, &bytes, obs).map_err(|e| e.to_string())?;
-                    check_resume_compat(&meta, cfg.n, "full")?;
-                    Ok((a, b, meta, hash))
-                });
-                match loaded {
-                    Ok((mut a, mut b, meta, hash)) => {
-                        if meta.horizon == horizon as u64 {
-                            resume_note = Some(format!(
-                                "resumed: {} orbits, {} edges reused",
-                                a.len(),
-                                a.edge_count()
-                            ));
-                        } else {
-                            let diff = a.refresh_differential(&m, obs);
-                            b.refresh_differential(&m, obs);
-                            resume_note = Some(format!(
-                                "deadline {} -> {horizon}: {} orbits reused, {} recomputed",
-                                meta.horizon, diff.reused, diff.recomputed
-                            ));
-                        }
-                        snapshot_hash = Some(hash);
-                        spaces = Some((a, b));
-                    }
-                    Err(e) => resume_err = Some(e),
-                }
-            }
-            let (seq_space, par_space) = match spaces {
-                Some((a, b)) => (Some(a), Some(b)),
-                None => (None, None),
-            };
+            let Resumed {
+                spaces,
+                note: resume_note,
+                hash: mut snapshot_hash,
+                err: mut resume_err,
+            } = resume_arenas::<_, OrbitMin>(
+                &cfg,
+                &m,
+                horizon,
+                QUOTIENT_SNAPSHOT_FILE,
+                "full",
+                obs,
+            );
+            let (seq_space, par_space) = spaces.unzip();
 
             // Quotient scan, sequential and parallel expansion paths.
             let start = clock::monotonic_ns();
-            let mut solver = match seq_space {
-                Some(space) => QuotientSolver::with_space(&m, horizon, space, obs),
-                None if cfg.packed => QuotientSolver::with_observer(&m, horizon, obs),
-                None => QuotientSolver::with_space(&m, horizon, QuotientSpace::new_boxed(&m), obs),
-            };
-            let quot = scan_layer_valence_connectivity_quotient(&mut solver, cfg.depth, true);
+            let mut solver = scan_solver(&cfg, &m, horizon, seq_space, obs);
+            let quot = scan_layer_valence_connectivity(&mut solver, cfg.depth, true);
             let quot_ms = clock::monotonic_ns().saturating_sub(start) as f64 / 1e6;
             let orbits = solver.space().len();
             let covered = solver.space().covered_states();
@@ -491,7 +505,7 @@ pub fn quotient_scan_certified(
             if resume_err.is_none() {
                 if let Some(dir) = &cfg.snapshot_dir {
                     let meta = scan_meta(&cfg, horizon, "full");
-                    let (bytes, hash) = save_quotient(solver.space(), &meta, obs);
+                    let (bytes, hash) = save_arena(solver.space(), &meta, obs);
                     match write_snapshot(dir, QUOTIENT_SNAPSHOT_FILE, &bytes) {
                         Ok(()) => snapshot_hash = Some(hash),
                         Err(e) => resume_err = Some(e),
@@ -500,12 +514,8 @@ pub fn quotient_scan_certified(
             }
 
             let start = clock::monotonic_ns();
-            let mut par_solver = match par_space {
-                Some(space) => QuotientSolver::with_space(&m, horizon, space, obs),
-                None if cfg.packed => QuotientSolver::with_observer(&m, horizon, obs),
-                None => QuotientSolver::with_space(&m, horizon, QuotientSpace::new_boxed(&m), obs),
-            };
-            let par = scan_layer_valence_connectivity_quotient_parallel(
+            let mut par_solver = scan_solver(&cfg, &m, horizon, par_space, obs);
+            let par = scan_layer_valence_connectivity_parallel(
                 &mut par_solver,
                 cfg.depth,
                 true,
@@ -519,11 +529,7 @@ pub fn quotient_scan_certified(
             // (n = 5 became reachable when the arenas went packed).
             let full = (cfg.n <= 5).then(|| {
                 let start = clock::monotonic_ns();
-                let mut solver = if cfg.packed {
-                    ValenceSolver::with_observer(&m, horizon, obs)
-                } else {
-                    ValenceSolver::with_space(&m, horizon, StateSpace::new(), obs)
-                };
+                let mut solver: Solver<'_, _, Identity> = scan_solver(&cfg, &m, horizon, None, obs);
                 let scan = scan_layer_valence_connectivity(&mut solver, cfg.depth, true);
                 (
                     scan,

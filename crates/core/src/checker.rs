@@ -153,12 +153,12 @@ pub fn check_consensus_with<M: LayeredModel>(
         horizon,
         violations: Vec::new(),
     };
-    let mut space: StateSpace<M> = StateSpace::new();
+    let mut space: StateSpace<M> = StateSpace::new_boxed(model);
     let mut frontier: Vec<StateId> = Vec::new();
     {
         let mut seen: HashSet<StateId> = HashSet::new();
         for x in model.initial_states() {
-            let id = space.intern_with(&x, obs);
+            let (id, ()) = space.intern_with(model, &x, obs);
             if seen.insert(id) {
                 frontier.push(id);
             }
@@ -227,17 +227,19 @@ pub fn trace_to<M: LayeredModel>(
     max_depth: usize,
 ) -> Option<crate::ExecutionTrace<M::State>> {
     use std::collections::HashMap;
-    let mut space: StateSpace<M> = StateSpace::new();
+    let mut space: StateSpace<M> = StateSpace::new_boxed(model);
     let mut parent: HashMap<StateId, Option<StateId>> = HashMap::new();
     let mut frontier: Vec<StateId> = Vec::new();
     for x in model.initial_states() {
-        let id = space.intern(&x);
+        let (id, ()) = space.intern(model, &x);
         if parent.insert(id, None).is_none() {
             frontier.push(id);
         }
     }
     let is_found = |space: &StateSpace<M>, parent: &HashMap<StateId, Option<StateId>>| {
-        space.get(target).filter(|id| parent.contains_key(id))
+        space
+            .get(model, target)
+            .filter(|id| parent.contains_key(id))
     };
     let mut found = is_found(&space, &parent);
     let mut depth = 0;

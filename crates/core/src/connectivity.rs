@@ -15,11 +15,10 @@
 use std::fmt::Debug;
 
 use crate::graph::Graph;
-use crate::space::{StateId, StateSpace};
-use crate::sym::Symmetric;
+use crate::space::{Canonicalization, StateId, StateSpace};
 use crate::telemetry::{Observer, NOOP};
-use crate::valence::{QuotientSolver, Valences};
-use crate::{LayeredModel, Pid, ValenceSolver, Value};
+use crate::valence::{Solver, Valences};
+use crate::{LayeredModel, Pid, Value};
 
 /// Witness that `x ∼_s y`: the process `j` modulo which they agree, and a
 /// process `i ≠ j` non-failed in both states.
@@ -87,9 +86,9 @@ pub fn similarity_graph_with<M: LayeredModel>(
 /// with `solver` (and reporting `connectivity.pairs_tested` /
 /// `connectivity.valence_edges` to the solver's observer). Thin wrapper:
 /// interns the states and delegates to [`valence_graph_ids`].
-pub fn valence_graph<M: LayeredModel>(
+pub fn valence_graph<M: LayeredModel, C: Canonicalization<M>>(
     model: &M,
-    solver: &mut ValenceSolver<'_, M>,
+    solver: &mut Solver<'_, M, C>,
     states: &[M::State],
 ) -> Graph {
     let _ = model;
@@ -100,18 +99,19 @@ pub fn valence_graph<M: LayeredModel>(
 /// Id-typed twin of [`valence_graph`]: builds `(X, ∼_v)` over interned
 /// states, assembling the adjacency directly in CSR form (no per-vertex
 /// `Vec` growth or membership scans).
-pub fn valence_graph_ids<M: LayeredModel>(
-    solver: &mut ValenceSolver<'_, M>,
+///
+/// Over orbit representatives ([`OrbitMin`](crate::space::OrbitMin)) a
+/// shared-valence edge depends only on the two states' valence *flags* —
+/// and valence is invariant under process renaming — so collapsing a layer
+/// to representatives preserves which valence classes are present, and
+/// therefore the *connected* verdict of the layer's valence graph (vertex
+/// and edge counts legitimately shrink).
+pub fn valence_graph_ids<M: LayeredModel, C: Canonicalization<M>>(
+    solver: &mut Solver<'_, M, C>,
     ids: &[StateId],
 ) -> Graph {
     let vals: Vec<Valences> = ids.iter().map(|&id| solver.valences_id(id)).collect();
-    valence_graph_from_flags(&vals, solver.observer())
-}
-
-/// Assembles `(X, ∼_v)` in CSR form directly from precomputed valence
-/// flags — the shared back half of [`valence_graph_ids`] and its quotient
-/// twin.
-fn valence_graph_from_flags(vals: &[Valences], obs: &dyn Observer) -> Graph {
+    let obs = solver.observer();
     let n = vals.len();
     let mut offsets = Vec::with_capacity(n + 1);
     let mut edges = Vec::new();
@@ -134,22 +134,6 @@ fn valence_graph_from_flags(vals: &[Valences], obs: &dyn Observer) -> Graph {
         offsets.push(edges.len());
     }
     Graph::from_csr(n, &offsets, &edges)
-}
-
-/// Quotient twin of [`valence_graph_ids`]: the graph `(X, ∼_v)` over orbit
-/// representatives in a [`QuotientSolver`]'s arena.
-///
-/// Because a shared-valence edge depends only on the two states' valence
-/// *flags* — and valence is invariant under process renaming — collapsing a
-/// layer to orbit representatives preserves which valence classes are
-/// present, and therefore preserves the *connected* verdict of the layer's
-/// valence graph (vertex and edge counts legitimately shrink).
-pub fn quotient_valence_graph_ids<M: Symmetric>(
-    solver: &mut QuotientSolver<'_, M>,
-    ids: &[StateId],
-) -> Graph {
-    let vals: Vec<Valences> = ids.iter().map(|&id| solver.valences_id(id)).collect();
-    valence_graph_from_flags(&vals, solver.observer())
 }
 
 /// Summary of a connectivity analysis of a state set.
@@ -192,9 +176,9 @@ pub fn similarity_report_with<M: LayeredModel>(
 }
 
 /// Connectivity of `(X, ∼_v)`. Telemetry goes to the solver's observer.
-pub fn valence_report<M: LayeredModel>(
+pub fn valence_report<M: LayeredModel, C: Canonicalization<M>>(
     model: &M,
-    solver: &mut ValenceSolver<'_, M>,
+    solver: &mut Solver<'_, M, C>,
     states: &[M::State],
 ) -> ConnectivityReport {
     let obs = solver.observer();
@@ -202,24 +186,14 @@ pub fn valence_report<M: LayeredModel>(
 }
 
 /// Id-typed twin of [`valence_report`]: connectivity of `(X, ∼_v)` over
-/// interned states.
-pub fn valence_report_ids<M: LayeredModel>(
-    solver: &mut ValenceSolver<'_, M>,
+/// interned states. Over orbit representatives the `connected` verdict
+/// matches the full layer's (see [`valence_graph_ids`]); `states`,
+/// `components` and `diameter` describe the collapsed graph.
+pub fn valence_report_ids<M: LayeredModel, C: Canonicalization<M>>(
+    solver: &mut Solver<'_, M, C>,
     ids: &[StateId],
 ) -> ConnectivityReport {
     let g = valence_graph_ids(solver, ids);
-    ConnectivityReport::from_graph(&g, solver.observer())
-}
-
-/// Quotient twin of [`valence_report_ids`]: connectivity of `(X, ∼_v)` over
-/// orbit representatives. The `connected` verdict matches the full layer's
-/// (see [`quotient_valence_graph_ids`]); `states`, `components` and
-/// `diameter` describe the collapsed graph.
-pub fn quotient_valence_report_ids<M: Symmetric>(
-    solver: &mut QuotientSolver<'_, M>,
-    ids: &[StateId],
-) -> ConnectivityReport {
-    let g = quotient_valence_graph_ids(solver, ids);
     ConnectivityReport::from_graph(&g, solver.observer())
 }
 
@@ -452,7 +426,7 @@ mod tests {
     #[test]
     fn valence_report_on_diamond_layer() {
         let m = flp_diamond();
-        let mut solver = ValenceSolver::new(&m, 2);
+        let mut solver = crate::ValenceSolver::new(&m, 2);
         let layer = m.successors(&0);
         // states 1 and 2 are univalent with different values and not
         // bivalent: the valence graph over {1,2} is disconnected...

@@ -67,16 +67,15 @@ pub use checker::{
     check_graded, trace_to, ConsensusReport, Violation,
 };
 pub use connectivity::{
-    input_interpolation, quotient_valence_graph_ids, quotient_valence_report_ids, s_diameter,
-    similar, similarity_chain_between, similarity_chain_between_with, similarity_graph,
-    similarity_graph_ids, similarity_graph_with, similarity_report, similarity_report_ids,
-    similarity_report_with, similarity_witness, valence_graph, valence_graph_ids, valence_report,
-    valence_report_ids, ConnectivityReport, SimilarityChain, SimilarityWitness,
+    input_interpolation, s_diameter, similar, similarity_chain_between,
+    similarity_chain_between_with, similarity_graph, similarity_graph_ids, similarity_graph_with,
+    similarity_report, similarity_report_ids, similarity_report_with, similarity_witness,
+    valence_graph, valence_graph_ids, valence_report, valence_report_ids, ConnectivityReport,
+    SimilarityChain, SimilarityWitness,
 };
 pub use layering::{
-    bivalent_successor, bivalent_successor_id, bivalent_successor_quotient_id, build_bivalent_run,
-    build_bivalent_run_interned, build_bivalent_run_quotient, check_lemma_3_1, check_lemma_3_2,
-    dequotient_run, extend_bivalent_run, extend_bivalent_run_interned,
+    bivalent_successor, bivalent_successor_id, build_bivalent_run, build_bivalent_run_interned,
+    check_lemma_3_1, check_lemma_3_2, extend_bivalent_run, extend_bivalent_run_interned,
     scan_layer_valence_connectivity, scan_layer_valence_connectivity_parallel,
     scan_layer_valence_connectivity_quotient, scan_layer_valence_connectivity_quotient_parallel,
     BivalentRunOutcome, InternedRun, LayerScan, Stuck,
@@ -91,15 +90,18 @@ pub use space::pack::{
     pack_decision, unpack_decision, FieldPacker, StatePacker, WordReader, WordWriter, DECISION_BITS,
 };
 pub use space::snapshot::{
-    load_quotient, load_space, save_quotient, save_space, ArenaMeta, SnapshotError, SnapshotReader,
-    SnapshotState, SNAPSHOT_VERSION,
+    load_arena, load_quotient, load_space, save_arena, save_quotient, save_space, ArenaMeta,
+    SnapshotError, SnapshotReader, SnapshotState, SNAPSHOT_VERSION,
 };
-pub use space::{DiffReport, QuotientSpace, StateId, StateSpace, SHARD_COUNT};
+pub use space::{
+    Arena, Canonicalization, DiffReport, Identity, OrbitMin, QuotientSpace, StateId, StateSpace,
+    SHARD_COUNT,
+};
 pub use stats::{census, census_with, LevelCensus};
 pub use sym::{canonicalize_by_min, canonicalize_packed, orbit_size, PidPerm, Symmetric};
 pub use telemetry::{
     Fanout, Heartbeat, Histogram, JsonlObserver, MemoryBreakdown, MemoryFootprint, MetricsRegistry,
     MetricsSnapshot, NoopObserver, Observer, Span, TraceObserver,
 };
-pub use valence::{undecided_non_failed, QuotientSolver, Valence, ValenceSolver, Valences};
+pub use valence::{undecided_non_failed, QuotientSolver, Solver, Valence, ValenceSolver, Valences};
 pub use witness::{ImpossibilityWitness, InternedWitness, WitnessError};

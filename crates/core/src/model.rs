@@ -129,7 +129,7 @@ pub trait LayeredModel {
 
     /// A packed `u128` codec for this model's states, if the instance fits
     /// one (see [`crate::space::pack`] for the codec contract). Arenas built
-    /// with [`StateSpace::for_model`](crate::space::StateSpace::for_model)
+    /// with [`Arena::new`](crate::space::Arena::new)
     /// use it as their storage and hash key; `None` (the default) keeps the
     /// boxed representation.
     ///
@@ -169,7 +169,7 @@ pub fn states_at_depth_with<M: LayeredModel>(
     k: usize,
     obs: &dyn Observer,
 ) -> Vec<M::State> {
-    let mut space: StateSpace<M> = StateSpace::for_model(model);
+    let mut space: StateSpace<M> = StateSpace::new(model);
     let levels = space.expand_layers(model, std::slice::from_ref(from), k, obs);
     space.materialize(levels.last().expect("expand returns k + 1 levels"))
 }
@@ -217,7 +217,7 @@ pub fn explore_with<M: LayeredModel>(
     obs: &dyn Observer,
 ) -> Exploration<M::State> {
     let _span = Span::enter(obs, "explore.sweep");
-    let mut space: StateSpace<M> = StateSpace::for_model(model);
+    let mut space: StateSpace<M> = StateSpace::new(model);
     let id_levels = space.expand_layers(model, roots, horizon, obs);
     // Every frontier state's successor list was computed exactly once into
     // the arena, so the cached edge total is the traversal's edge total.

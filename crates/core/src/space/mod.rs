@@ -1,71 +1,95 @@
-//! Hash-consed state spaces: dense [`StateId`]s over a model's reachable
-//! states, with CSR-packed successor adjacency, a sharded concurrent intern
-//! table, packed state storage and deterministic parallel layer expansion.
+//! Hash-consed state spaces: one [`Arena`] of dense [`StateId`]s over a
+//! model's reachable states, with CSR-packed successor adjacency, a sharded
+//! concurrent intern table, packed state storage and deterministic parallel
+//! layer expansion.
 //!
 //! Every exact engine in this crate (valence, connectivity, layering, the
 //! consensus checker) explores the same graded state graph. Keying those
 //! explorations on full cloned model states makes each hash, clone and
 //! equality test cost `O(|state|)` — the direct cause of the n≤3 enumeration
-//! ceiling this module removes. A [`StateSpace`] interns each distinct state
+//! ceiling this module removes. An [`Arena`] interns each distinct state
 //! exactly once and hands out a dense `u32` [`StateId`]; the engines then
 //! memoize in flat `Vec`s indexed by id and walk successor lists that are
 //! computed once and packed into a single flat edge array (compressed sparse
 //! row layout).
 //!
+//! # Canonicalization strategies
+//!
+//! The arena is generic over a [`Canonicalization`] strategy, which decides
+//! what gets interned in place of each raw state ([`canon`]):
+//!
+//! * [`Identity`] interns states as they are — the full state graph. Its
+//!   per-edge witness and per-state orbit size are zero-sized, so the
+//!   identity arena pays nothing for the quotient's bookkeeping.
+//! * [`OrbitMin`] interns one canonical representative per
+//!   process-renaming orbit of a [`Symmetric`] model — the quotient graph.
+//!   Each cached edge `c → c'` additionally stores a permutation `σ` with
+//!   `σ · y = c'` for the raw successor `y ∈ S(c)` it came from, and each
+//!   representative its orbit size; [`Arena::dequotient_path`] folds the
+//!   witnesses back into a genuine execution. The construction is a
+//!   quotient only over an equivariant layering (`S(π·x) = π·S(x)`), so
+//!   orbit arenas panic unless [`Symmetric::symmetric_layering`] holds.
+//!
+//! [`StateSpace`] and [`QuotientSpace`] name the two instantiations.
+//!
 //! # Packed storage
 //!
 //! When the model provides a [`StatePacker`]
-//! ([`LayeredModel::state_packer`]), the arena stores each state as a single
-//! `u128` word instead of the boxed model struct: hashing, equality and
-//! lookup all operate on the word, and states are only unpacked at the
-//! [`resolve`](StateSpace::resolve) boundary. States the codec cannot
-//! represent *spill* into a side vector (tagged via [`pack::SPILL_TAG`]), so
-//! packing is always a pure representation change — ids, layers and every
-//! derived report are identical to the boxed arena's.
+//! ([`LayeredModel::state_packer`]), [`Arena::new`] stores each state as a
+//! single `u128` word instead of the boxed model struct: hashing, equality
+//! and lookup all operate on the word, and states are only unpacked at the
+//! [`resolve`](Arena::resolve) boundary. States the codec cannot represent
+//! *spill* into a side vector (tagged via [`pack::SPILL_TAG`]), so packing
+//! is always a pure representation change — ids, layers and every derived
+//! report are identical to the boxed arena's ([`Arena::new_boxed`]).
 //!
 //! # Sharded interning
 //!
 //! The intern index is split into [`SHARD_COUNT`] shards keyed by state
 //! hash, each behind its own mutex. During bulk expansion worker threads
-//! probe and *stage* new states concurrently: a previously unseen state is
-//! appended to its shard's pending list and identified by a provisional id.
-//! No dense id is assigned concurrently — after the workers join, the
-//! calling thread walks the frontier's successor lists **in frontier order**
-//! and renumbers every provisional id in first-touch order ([`ProvMap`]),
-//! which is exactly the order the sequential path would have interned them
-//! in. The staged states are then published into the dense store and the
-//! shard buckets rewritten. Parallelism changes how fast successor lists are
-//! produced, never which states exist, their ids, or the contents of any
-//! layer, so sequential and parallel expansion are bit-identical.
+//! canonicalize, probe and *stage* new states concurrently: a previously
+//! unseen state is appended to its shard's pending list and identified by a
+//! provisional id. No dense id is assigned concurrently — after the workers
+//! join, the calling thread walks the frontier's successor lists **in
+//! frontier order** and renumbers every provisional id in first-touch order
+//! ([`ProvMap`]), which is exactly the order the sequential path would have
+//! interned them in. The staged states are then published into the dense
+//! store and the shard buckets rewritten. Parallelism changes how fast
+//! successor lists are produced, never which states exist, their ids, or
+//! the contents of any layer, so sequential and parallel expansion are
+//! bit-identical.
 //!
 //! # Id layout and determinism
 //!
-//! Ids are assigned in *interning order*: the first distinct state presented
-//! to [`StateSpace::intern`] gets id 0, the next distinct one id 1, and so
-//! on. All exploration routines here present states in a canonical order
+//! Ids are assigned in *interning order*: the first distinct representative
+//! presented to [`Arena::intern`] gets id 0, the next distinct one id 1, and
+//! so on. All exploration routines here present states in a canonical order
 //! (roots in the order given, then successor lists in model order, level by
 //! level), so for a fixed model and entry point the id assignment — and
 //! everything derived from it — is deterministic.
 //!
 //! # Persistence
 //!
-//! Both arenas serialize to versioned, integrity-hashed snapshots (see
+//! Arenas serialize to versioned, integrity-hashed snapshots (see
 //! [`snapshot`]): the state arena (packed words or boxed states), intern
-//! index, CSR successor cache and per-state successor fingerprints
-//! round-trip byte-identically, so a scan can be resumed — deepened,
-//! re-budgeted, or differentially re-verified after a protocol change via
-//! [`StateSpace::refresh_differential`] /
-//! [`QuotientSpace::refresh_differential`] — instead of recomputed.
+//! index, CSR successor cache, per-state successor fingerprints and the
+//! strategy's orbit sizes and edge witnesses round-trip byte-identically,
+//! so a scan can be resumed — deepened, re-budgeted, or differentially
+//! re-verified after a protocol change via [`Arena::refresh_differential`]
+//! — instead of recomputed.
 
+pub mod canon;
 pub mod pack;
 pub mod snapshot;
 
 use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::marker::PhantomData;
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
 use fxhash::{FxHashMap, FxHasher};
 
+pub use self::canon::{Canonicalization, Identity, OrbitMin};
 use self::pack::{word_hash, StatePacker, SPILL_TAG};
 use crate::sym::{PidPerm, Symmetric};
 use crate::telemetry::{
@@ -102,7 +126,7 @@ fn fx_hash<S: Hash>(s: &S) -> u64 {
     h.finish()
 }
 
-/// Dense identifier of an interned state within one [`StateSpace`].
+/// Dense identifier of an interned state within one [`Arena`].
 ///
 /// Ids are only meaningful relative to the space that produced them; they
 /// are assigned contiguously from 0 in interning order.
@@ -371,14 +395,14 @@ impl<S: Clone + Eq + Hash> Store<S> {
 /// of states staged during the current bulk expansion. Bucket entries are
 /// dense ids, or `PENDING_BIT | pending index` while staged; dense entries
 /// are kept in ascending id order (== interning order).
-struct Shard<S> {
+struct Shard<S, O> {
     buckets: FxHashMap<u64, Vec<u32>>,
-    /// Staged states: `(hash, key, orbit size)` — orbit is 0 in the plain
-    /// arena and carries the precomputed orbit size in the quotient.
-    pending: Vec<(u64, PendKey<S>, u64)>,
+    /// Staged states: `(hash, key, orbit size)` — the orbit size is the
+    /// strategy's ([`Canonicalization::Orbit`]), `()` under [`Identity`].
+    pending: Vec<(u64, PendKey<S>, O)>,
 }
 
-impl<S> Default for Shard<S> {
+impl<S, O> Default for Shard<S, O> {
     fn default() -> Self {
         Shard {
             buckets: FxHashMap::default(),
@@ -411,10 +435,10 @@ impl InternStats {
 /// Locks a shard, counting contention: a failed `try_lock` bumps
 /// `contention`, each spin retry bumps `retries`, and after a bounded spin
 /// the caller parks on the blocking lock.
-fn lock_counting<'a, S>(
-    m: &'a Mutex<Shard<S>>,
+fn lock_counting<'a, S, O>(
+    m: &'a Mutex<Shard<S, O>>,
     stats: &mut InternStats,
-) -> MutexGuard<'a, Shard<S>> {
+) -> MutexGuard<'a, Shard<S, O>> {
     match m.try_lock() {
         Ok(g) => return g,
         Err(TryLockError::WouldBlock) => stats.contention += 1,
@@ -434,12 +458,12 @@ fn lock_counting<'a, S>(
     }
 }
 
-/// The sharded concurrent intern index shared by both arenas.
-struct ShardedIndex<S> {
-    shards: Vec<Mutex<Shard<S>>>,
+/// The sharded concurrent intern index behind every [`Arena`].
+struct ShardedIndex<S, O> {
+    shards: Vec<Mutex<Shard<S, O>>>,
 }
 
-impl<S: Clone + Eq + Hash> ShardedIndex<S> {
+impl<S: Clone + Eq + Hash, O: Copy> ShardedIndex<S, O> {
     fn new() -> Self {
         ShardedIndex {
             shards: (0..SHARD_COUNT)
@@ -449,7 +473,7 @@ impl<S: Clone + Eq + Hash> ShardedIndex<S> {
     }
 
     /// Exclusive access to the shard owning `h` (single-threaded paths).
-    fn shard_mut(&mut self, h: u64) -> &mut Shard<S> {
+    fn shard_mut(&mut self, h: u64) -> &mut Shard<S, O> {
         match self.shards[shard_of(h)].get_mut() {
             Ok(g) => g,
             Err(_) => panic!("intern shard poisoned: a worker panicked"),
@@ -457,7 +481,7 @@ impl<S: Clone + Eq + Hash> ShardedIndex<S> {
     }
 
     /// Locked access to the shard owning `h` (shared-borrow paths).
-    fn shard(&self, h: u64) -> MutexGuard<'_, Shard<S>> {
+    fn shard(&self, h: u64) -> MutexGuard<'_, Shard<S, O>> {
         match self.shards[shard_of(h)].lock() {
             Ok(g) => g,
             Err(_) => panic!("intern shard poisoned: a worker panicked"),
@@ -472,7 +496,7 @@ impl<S: Clone + Eq + Hash> ShardedIndex<S> {
         store: &Store<S>,
         key: &ProbeKey,
         s: &S,
-        orbit: u64,
+        orbit: O,
         stats: &mut InternStats,
     ) -> u64 {
         let shard_no = shard_of(key.hash);
@@ -523,8 +547,8 @@ impl<S: Clone + Eq + Hash> ShardedIndex<S> {
     /// `map` assigned, rewriting the affected buckets (and restoring their
     /// ascending-id order). Returns the staged orbit sizes in dense id
     /// order.
-    fn publish(&mut self, store: &mut Store<S>, map: &ProvMap) -> Vec<u64> {
-        let mut staged: Vec<(u32, PendKey<S>, u64)> = Vec::new();
+    fn publish(&mut self, store: &mut Store<S>, map: &ProvMap) -> Vec<O> {
+        let mut staged: Vec<(u32, PendKey<S>, O)> = Vec::new();
         for (shard_no, m) in self.shards.iter_mut().enumerate() {
             let shard = match m.get_mut() {
                 Ok(g) => g,
@@ -668,7 +692,7 @@ fn probe_dense<S: Clone + Eq + Hash>(
 
 /// FxHash fingerprint of a raw successor list (length plus every element,
 /// in order). Stored per state so a re-scan after a protocol change can
-/// tell which successor lists moved ([`StateSpace::refresh_differential`])
+/// tell which successor lists moved ([`Arena::refresh_differential`])
 /// without diffing the lists themselves. Fingerprint equality is treated
 /// as list equality — a deliberate 64-bit-collision trade-off, identical
 /// to the one the intern index already makes per bucket.
@@ -687,7 +711,7 @@ fn successor_fingerprint<S: Hash>(succs: &[S]) -> u64 {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct DiffReport {
     /// Cached rows whose successor fingerprint was unchanged — their CSR
-    /// slice (and, in the quotient, permutation slice) was copied verbatim.
+    /// and witness slices were copied verbatim.
     pub reused: usize,
     /// Cached rows whose fingerprint moved — re-expanded under the new
     /// model.
@@ -696,53 +720,28 @@ pub struct DiffReport {
     pub new_states: usize,
 }
 
-/// One chunk's output from [`expand_chunk`]: per-state provisional-id rows
-/// (successor provisional ids plus the state's fingerprint, in chunk order)
-/// and the chunk's interning statistics.
-type ChunkOutput = (Vec<(Vec<u64>, u64)>, InternStats);
+/// One row of a bulk expansion: per raw successor its provisional id and
+/// witness, then the raw list's fingerprint.
+type ProvRow<W> = (Vec<(u64, W)>, u64);
+
+/// A [`ProvRow`] after renumbering: dense ids in place of provisional ones.
+type IdRow<W> = (Vec<(StateId, W)>, u64);
+
+/// One chunk's output from [`expand_chunk`]: rows in chunk order plus the
+/// chunk's interning statistics.
+type ChunkOutput<W> = (Vec<ProvRow<W>>, InternStats);
 
 /// Expands one chunk of the frontier against the shared store and index:
-/// per frontier state, the raw successor list is computed, fingerprinted,
-/// and every successor probed-or-staged. Returns per-state provisional-id
-/// rows (in chunk order) plus the chunk's interning statistics. Pure with
-/// respect to the dense arena — all novelty is staged in the shards.
-fn expand_chunk<M: LayeredModel>(
+/// per frontier state, the raw successor list is computed and fingerprinted,
+/// and every successor canonicalized and its representative
+/// probed-or-staged. Pure with respect to the dense arena — all novelty is
+/// staged in the shards.
+fn expand_chunk<M: LayeredModel, C: Canonicalization<M>>(
     model: &M,
     store: &Store<M::State>,
-    index: &ShardedIndex<M::State>,
+    index: &ShardedIndex<M::State, C::Orbit>,
     part: &[StateId],
-) -> ChunkOutput {
-    let mut stats = InternStats::default();
-    let rows = part
-        .iter()
-        .map(|&id| {
-            let x = store.get(id.index());
-            let raw = model.successors(&x);
-            let fp = successor_fingerprint(&raw);
-            let provs = raw
-                .iter()
-                .map(|y| {
-                    let key = store.key_of(y);
-                    index.probe_or_stage(store, &key, y, 0, &mut stats)
-                })
-                .collect();
-            (provs, fp)
-        })
-        .collect();
-    (rows, stats)
-}
-
-/// Quotient twin of [`expand_chunk`]: every raw successor is canonicalized
-/// (the `n!` work that dominates quotient expansion) and its orbit
-/// representative probed-or-staged with its precomputed orbit size. Rows
-/// carry the witnessing permutation alongside each provisional id.
-#[allow(clippy::type_complexity)]
-fn canon_chunk<M: Symmetric>(
-    model: &M,
-    store: &Store<M::State>,
-    index: &ShardedIndex<M::State>,
-    part: &[StateId],
-) -> (Vec<(Vec<(u64, PidPerm)>, u64)>, InternStats) {
+) -> ChunkOutput<C::Witness> {
     let mut stats = InternStats::default();
     let rows = part
         .iter()
@@ -753,12 +752,10 @@ fn canon_chunk<M: Symmetric>(
             let entries = raw
                 .iter()
                 .map(|y| {
-                    let (rep, perm, orbit) = model.canonicalize_with_orbit(y);
+                    let (rep, witness, orbit) = C::canonicalize(model, y);
                     let key = store.key_of(&rep);
-                    (
-                        index.probe_or_stage(store, &key, &rep, orbit, &mut stats),
-                        perm,
-                    )
+                    let prov = index.probe_or_stage(store, &key, &rep, orbit, &mut stats);
+                    (prov, witness)
                 })
                 .collect();
             (entries, fp)
@@ -767,13 +764,15 @@ fn canon_chunk<M: Symmetric>(
     (rows, stats)
 }
 
-/// A hash-consing arena over a model's states.
+/// A hash-consing arena over a model's states, canonicalized by the
+/// strategy `C` ([`Identity`] or [`OrbitMin`]; see the [module docs](self)).
 ///
-/// Interning deduplicates states structurally: `intern` returns the same
-/// [`StateId`] for equal states and stores each distinct state exactly once.
-/// Successor lists are computed lazily (or eagerly, in parallel, via
-/// [`StateSpace::prefetch_successors`]) and cached in CSR form, so each
-/// `model.successors` call happens at most once per state per space.
+/// Interning deduplicates representatives structurally: `intern` returns
+/// the same [`StateId`] for states with equal representatives and stores
+/// each distinct representative exactly once. Successor lists are computed
+/// lazily (or eagerly, in parallel, via [`Arena::prefetch_successors`]) and
+/// cached in CSR form, so each `model.successors` call happens at most once
+/// per state per arena.
 ///
 /// # Examples
 ///
@@ -784,67 +783,89 @@ fn canon_chunk<M: Symmetric>(
 ///
 /// let m = CounterModel::new(2, 4);
 /// let x0 = m.initial_states().remove(0);
-/// let mut space: StateSpace<CounterModel> = StateSpace::for_model(&m);
-/// let id = space.intern(&x0);
-/// assert_eq!(space.intern(&x0), id); // double-intern: same id
+/// let mut space: StateSpace<CounterModel> = StateSpace::new(&m);
+/// let (id, ()) = space.intern(&m, &x0);
+/// assert_eq!(space.intern(&m, &x0).0, id); // double-intern: same id
 /// assert_eq!(space.resolve(id), x0); // round-trip
 /// ```
-pub struct StateSpace<M: LayeredModel> {
+pub struct Arena<M: LayeredModel, C: Canonicalization<M>> {
+    /// Representatives, packed or boxed, indexed by [`StateId`].
     store: Store<M::State>,
-    index: ShardedIndex<M::State>,
+    index: ShardedIndex<M::State, C::Orbit>,
+    /// Orbit size of each representative (zero-sized under [`Identity`]).
+    orbits: Vec<C::Orbit>,
     succ: Vec<Option<SuccRange>>,
     edges: Vec<StateId>,
-    /// FxHash fingerprint of each state's *raw* successor list (0 until the
-    /// list is cached) — the differential-refresh change detector.
+    /// Per-edge witness, parallel to `edges`: for the edge at position `e`
+    /// from `c` to `c'`, `witnesses[e] · y = c'` where `y ∈ S(c)` is the raw
+    /// successor the edge was computed from (zero-sized under [`Identity`]).
+    witnesses: Vec<C::Witness>,
+    /// FxHash fingerprint of each state's *raw* (pre-canonicalization)
+    /// successor list (0 until cached) — the differential-refresh change
+    /// detector.
     succ_fp: Vec<u64>,
+    strategy: PhantomData<C>,
 }
 
-impl<M: LayeredModel> Default for StateSpace<M> {
-    fn default() -> Self {
-        StateSpace::new()
-    }
-}
+/// The full-space arena: [`Arena`] under [`Identity`]. An alias kept for
+/// existing callers.
+pub type StateSpace<M> = Arena<M, Identity>;
 
-impl<M: LayeredModel> StateSpace<M> {
-    /// An empty arena with boxed storage. Prefer
-    /// [`StateSpace::for_model`], which picks packed storage when the model
-    /// provides a codec.
+/// The symmetry-quotient arena: [`Arena`] under [`OrbitMin`]. An alias
+/// kept for existing callers.
+pub type QuotientSpace<M> = Arena<M, OrbitMin>;
+
+impl<M: LayeredModel, C: Canonicalization<M>> Arena<M, C> {
+    /// An empty arena for `model`, storing states packed when the model
+    /// provides a [`StatePacker`] ([`LayeredModel::state_packer`]), boxed
+    /// otherwise. Packing is a pure representation change: ids, layers and
+    /// every derived report are identical either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the strategy rejects `model` ([`OrbitMin`] over a
+    /// non-equivariant layering would silently prune reachable orbits).
     #[must_use]
-    pub fn new() -> Self {
-        StateSpace {
-            store: Store::boxed(),
+    pub fn new(model: &M) -> Self {
+        let store = match model.state_packer() {
+            Some(p) => Store::packed(p),
+            None => Store::boxed(),
+        };
+        Self::with_store(model, store)
+    }
+
+    /// An empty arena with boxed storage even when the model packs (the
+    /// consensus checker's store and the packed-vs-boxed cross-check path).
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Arena::new`].
+    #[must_use]
+    pub fn new_boxed(model: &M) -> Self {
+        Self::with_store(model, Store::boxed())
+    }
+
+    fn with_store(model: &M, store: Store<M::State>) -> Self {
+        C::check_model(model);
+        Arena {
+            store,
             index: ShardedIndex::new(),
+            orbits: Vec::new(),
             succ: Vec::new(),
             edges: Vec::new(),
+            witnesses: Vec::new(),
             succ_fp: Vec::new(),
+            strategy: PhantomData,
         }
     }
 
-    /// An empty arena storing states packed when `model` provides a
-    /// [`StatePacker`] ([`LayeredModel::state_packer`]), boxed otherwise.
-    /// Packing is a pure representation change: ids, layers and every
-    /// derived report are identical either way.
-    #[must_use]
-    pub fn for_model(model: &M) -> Self {
-        match model.state_packer() {
-            Some(p) => StateSpace {
-                store: Store::packed(p),
-                index: ShardedIndex::new(),
-                succ: Vec::new(),
-                edges: Vec::new(),
-                succ_fp: Vec::new(),
-            },
-            None => StateSpace::new(),
-        }
-    }
-
-    /// Number of distinct states interned so far.
+    /// Number of distinct representatives interned so far.
     #[must_use]
     pub fn len(&self) -> usize {
         self.store.len()
     }
 
-    /// Whether no state has been interned yet.
+    /// Whether nothing has been interned yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.store.len() == 0
@@ -856,63 +877,97 @@ impl<M: LayeredModel> StateSpace<M> {
         self.edges.len()
     }
 
-    /// Interns `s`, returning its dense id (allocating one on first sight).
-    pub fn intern(&mut self, s: &M::State) -> StateId {
-        self.intern_with(s, &NOOP)
+    /// Appends the bookkeeping of `new` freshly interned representatives.
+    fn grow(&mut self, new: impl IntoIterator<Item = C::Orbit>) {
+        for orbit in new {
+            self.orbits.push(orbit);
+            self.succ.push(None);
+            self.succ_fp.push(0);
+        }
     }
 
-    /// [`StateSpace::intern`] with telemetry: reports `space.intern.hits` /
-    /// `space.intern.misses` counters, the `space.states` gauge and the
-    /// `space.intern.probe_len` histogram (equality comparisons per probe)
-    /// to `obs`.
-    pub fn intern_with(&mut self, s: &M::State, obs: &dyn Observer) -> StateId {
-        let key = self.store.key_of(s);
+    /// Interns a state that is *already* a representative with a known
+    /// orbit size.
+    fn intern_canonical(&mut self, rep: &M::State, orbit: C::Orbit, obs: &dyn Observer) -> StateId {
+        let key = self.store.key_of(rep);
         let shard = self.index.shard_mut(key.hash);
-        match probe_dense(&self.store, shard.buckets.get(&key.hash), &key, s) {
+        match probe_dense(&self.store, shard.buckets.get(&key.hash), &key, rep) {
             Probe::Hit(id, compared) => {
-                obs.counter("space.intern.hits", 1);
-                obs.histogram("space.intern.probe_len", compared);
+                C::count_hits(obs, 1);
+                C::count_probe(obs, compared);
                 return id;
             }
-            Probe::Miss(compared) => obs.histogram("space.intern.probe_len", compared),
+            Probe::Miss(compared) => C::count_probe(obs, compared),
         }
-        obs.counter("space.intern.misses", 1);
         let id = u32::try_from(self.store.len()).expect("more than u32::MAX states");
-        self.store.push(&key, s);
-        self.succ.push(None);
-        self.succ_fp.push(0);
+        self.store.push(&key, rep);
         shard.buckets.entry(key.hash).or_default().push(id);
+        self.grow([orbit]);
+        C::count_new(obs, 1, &[orbit]);
         obs.gauge("space.states", self.store.len() as u64);
+        C::report_orbits(obs, &self.orbits);
         StateId(id)
     }
 
-    /// The id of `s` if it has been interned, without interning it.
+    /// Interns `x`'s representative, returning its id and the witness `π`
+    /// with `π · x` = the representative.
+    pub fn intern(&mut self, model: &M, x: &M::State) -> (StateId, C::Witness) {
+        self.intern_with(model, x, &NOOP)
+    }
+
+    /// [`Arena::intern`] with telemetry: the strategy's intern counters
+    /// (`space.intern.hits` / `space.intern.misses` and the
+    /// `space.intern.probe_len` histogram under [`Identity`];
+    /// `space.canon.hits` / `space.canon.orbit_states`, the
+    /// `space.canonicalize` span and the `space.quotient.mean_orbit_x1000`
+    /// gauge under [`OrbitMin`]) plus the `space.states` gauge.
+    pub fn intern_with(
+        &mut self,
+        model: &M,
+        x: &M::State,
+        obs: &dyn Observer,
+    ) -> (StateId, C::Witness) {
+        let (rep, witness, orbit) = C::canonicalize_traced(model, x, obs);
+        (self.intern_canonical(&rep, orbit, obs), witness)
+    }
+
+    /// The id of `x`'s representative if it has been interned, without
+    /// interning it.
     #[must_use]
-    pub fn get(&self, s: &M::State) -> Option<StateId> {
-        let key = self.store.key_of(s);
+    pub fn get(&self, model: &M, x: &M::State) -> Option<StateId> {
+        let (rep, _, _) = C::canonicalize(model, x);
+        let key = self.store.key_of(&rep);
         let shard = self.index.shard(key.hash);
-        match probe_dense(&self.store, shard.buckets.get(&key.hash), &key, s) {
+        match probe_dense(&self.store, shard.buckets.get(&key.hash), &key, &rep) {
             Probe::Hit(id, _) => Some(id),
             Probe::Miss(_) => None,
         }
     }
 
-    /// The state behind `id`, owned: unpacked from the packed word, or
-    /// cloned out of the boxed store.
+    /// The representative behind `id`, owned: unpacked from the packed
+    /// word, or cloned out of the boxed store.
     ///
     /// # Panics
     ///
-    /// Panics if `id` was not produced by this space.
+    /// Panics if `id` was not produced by this arena.
     #[must_use]
     pub fn resolve(&self, id: StateId) -> M::State {
         self.store.get(id.index())
     }
 
-    /// The states behind `ids`, owned (used to materialize id paths into
-    /// state-typed witnesses at the API boundary).
+    /// The representatives behind `ids`, owned.
     #[must_use]
     pub fn materialize(&self, ids: &[StateId]) -> Vec<M::State> {
         ids.iter().map(|&id| self.resolve(id)).collect()
+    }
+
+    /// Maps an id path along cached edges back to model states: the
+    /// interned states under [`Identity`], the de-quotiented execution
+    /// ([`Arena::dequotient_path`]) under [`OrbitMin`]. `None` if an orbit
+    /// path leaves the cached edges.
+    #[must_use]
+    pub fn resolve_path(&self, model: &M, path: &[StateId]) -> Option<Vec<M::State>> {
+        C::resolve_path(self, model, path)
     }
 
     /// The cached successor list of `id`, or `None` if it has not been
@@ -927,29 +982,57 @@ impl<M: LayeredModel> StateSpace<M> {
         })
     }
 
-    /// Packs already-resolved successor ids of `id` into the edge array.
-    /// No-op if `id`'s successors are already cached.
-    fn record_ids(&mut self, id: StateId, succs: &[StateId], fp: u64, obs: &dyn Observer) {
+    /// Packs resolved successor entries of `id` into the edge arrays. When
+    /// the strategy collapses successors, entries are deduplicated by id
+    /// (first witness wins). No-op if `id`'s successors are already cached.
+    fn record_row(
+        &mut self,
+        id: StateId,
+        entries: Vec<(StateId, C::Witness)>,
+        fp: u64,
+        obs: &dyn Observer,
+    ) {
         if self.succ[id.index()].is_some() {
             return;
         }
         let start = u32::try_from(self.edges.len()).expect("more than u32::MAX edges");
-        self.edges.extend_from_slice(succs);
-        let len = u32::try_from(succs.len()).expect("layer larger than u32::MAX");
+        for (yid, witness) in entries {
+            if C::COLLAPSES
+                && self
+                    .edges
+                    .get(start as usize..)
+                    .expect("the row starts at the old edge count")
+                    .contains(&yid)
+            {
+                continue;
+            }
+            self.edges.push(yid);
+            self.witnesses.push(witness);
+        }
+        let len = u32::try_from(self.edges.len()).expect("more than u32::MAX edges") - start;
         self.succ[id.index()] = Some(SuccRange { start, len });
         self.succ_fp[id.index()] = fp;
         obs.histogram("space.succ_fanout", len.into());
     }
 
-    /// Interns the given successor states of `id` and packs them into the
-    /// edge array. No-op if `id`'s successors are already cached.
-    fn record_successors(&mut self, id: StateId, succs: &[M::State], obs: &dyn Observer) {
-        if self.succ[id.index()].is_some() {
-            return;
-        }
-        let fp = successor_fingerprint(succs);
-        let ids: Vec<StateId> = succs.iter().map(|y| self.intern_with(y, obs)).collect();
-        self.record_ids(id, &ids, fp, obs);
+    /// Canonicalizes and interns the raw successors of `id` (fingerprint
+    /// `fp`) and records them as its row.
+    fn record_successors(
+        &mut self,
+        model: &M,
+        id: StateId,
+        raw: &[M::State],
+        fp: u64,
+        obs: &dyn Observer,
+    ) {
+        let entries = raw
+            .iter()
+            .map(|y| {
+                let (rep, witness, orbit) = C::canonicalize(model, y);
+                (self.intern_canonical(&rep, orbit, obs), witness)
+            })
+            .collect();
+        self.record_row(id, entries, fp, obs);
     }
 
     /// The fingerprint of `id`'s cached raw successor list, or `None` if
@@ -961,8 +1044,10 @@ impl<M: LayeredModel> StateSpace<M> {
 
     /// Differential re-verification after a model change: recomputes the
     /// raw successor list of every state whose successors were cached,
-    /// but re-interns (and re-packs) only the lists whose fingerprint moved
-    /// under `model` — unchanged rows have their CSR slice copied verbatim.
+    /// but re-canonicalizes and re-interns only the lists whose fingerprint
+    /// moved under `model` — unchanged rows have their CSR and witness
+    /// slices copied verbatim (for orbits this skips the `n!` work that
+    /// dominates quotient expansion).
     ///
     /// The arena afterwards is *exactly* what caching every old row's new
     /// successor list would produce, modulo edge-array packing order (ids,
@@ -972,15 +1057,18 @@ impl<M: LayeredModel> StateSpace<M> {
     /// start uncached, like any freshly interned state.
     ///
     /// Telemetry: runs under a `space.resume.refresh` span and reports the
-    /// `space.resume.rows_reused` / `space.resume.rows_recomputed`
-    /// counters.
+    /// strategy's counters (`space.resume.rows_reused` /
+    /// `space.resume.rows_recomputed` under [`Identity`],
+    /// `space.resume.orbits_reused` / `space.resume.orbits_recomputed`
+    /// under [`OrbitMin`]).
     ///
-    /// [`cached_successors`]: StateSpace::cached_successors
+    /// [`cached_successors`]: Arena::cached_successors
     pub fn refresh_differential(&mut self, model: &M, obs: &dyn Observer) -> DiffReport {
         let _span = Span::enter(obs, "space.resume.refresh");
         let old_len = self.store.len();
         let old_succ = std::mem::take(&mut self.succ);
         let old_edges = std::mem::take(&mut self.edges);
+        let old_witnesses = std::mem::take(&mut self.witnesses);
         let old_fp = std::mem::take(&mut self.succ_fp);
         self.succ = vec![None; old_len];
         self.succ_fp = vec![0; old_len];
@@ -988,15 +1076,20 @@ impl<M: LayeredModel> StateSpace<M> {
         for k in 0..old_len {
             let Some(range) = old_succ[k] else { continue };
             let x = self.store.get(k);
-            let succs = model.successors(&x);
-            let fp = successor_fingerprint(&succs);
+            let raw = model.successors(&x);
+            let fp = successor_fingerprint(&raw);
             if fp == old_fp[k] {
                 let start = u32::try_from(self.edges.len()).expect("more than u32::MAX edges");
-                let s = range.start as usize;
+                let (s, e) = (range.start as usize, (range.start + range.len) as usize);
                 self.edges.extend_from_slice(
                     old_edges
-                        .get(s..s + range.len as usize)
+                        .get(s..e)
                         .expect("resumed SuccRange lies within the loaded edge array"),
+                );
+                self.witnesses.extend_from_slice(
+                    old_witnesses
+                        .get(s..e)
+                        .expect("witnesses run parallel to the loaded edge array"),
                 );
                 self.succ[k] = Some(SuccRange {
                     start,
@@ -1005,23 +1098,24 @@ impl<M: LayeredModel> StateSpace<M> {
                 self.succ_fp[k] = fp;
                 report.reused += 1;
             } else {
-                self.record_successors(StateId(k as u32), &succs, obs);
+                self.record_successors(model, StateId(k as u32), &raw, fp, obs);
                 report.recomputed += 1;
             }
         }
         report.new_states = self.store.len() - old_len;
-        obs.counter("space.resume.rows_reused", report.reused as u64);
-        obs.counter("space.resume.rows_recomputed", report.recomputed as u64);
+        C::report_refresh(obs, &report);
         report
     }
 
-    /// The successor ids of `id` under `model`'s layering, computing and
-    /// caching the list on first use.
+    /// The successor ids of `id` under `model`'s layering, computing,
+    /// canonicalizing and caching the list on first use. Under a collapsing
+    /// strategy, raw successors with one representative share one edge.
     pub fn successor_ids(&mut self, model: &M, id: StateId, obs: &dyn Observer) -> Vec<StateId> {
         if self.succ[id.index()].is_none() {
             let x = self.store.get(id.index());
-            let succs = model.successors(&x);
-            self.record_successors(id, &succs, obs);
+            let raw = model.successors(&x);
+            let fp = successor_fingerprint(&raw);
+            self.record_successors(model, id, &raw, fp, obs);
         }
         self.cached_successors(id)
             .expect("successors just recorded")
@@ -1038,52 +1132,71 @@ impl<M: LayeredModel> StateSpace<M> {
 
     /// Renumbers, publishes and records the results of one bulk expansion:
     /// provisional ids are resolved in frontier order ([`ProvMap`] — the
-    /// canonical renumbering pass), staged states are published into the
-    /// dense store, and every frontier row's CSR slice is packed.
+    /// canonical renumbering pass), staged representatives and their orbit
+    /// sizes are published into the dense store, and every frontier row's
+    /// CSR slice is packed.
     fn finish_bulk(
         &mut self,
         pending: &[StateId],
-        rows: Vec<(Vec<u64>, u64)>,
+        rows: Vec<ProvRow<C::Witness>>,
         stats: InternStats,
         obs: &dyn Observer,
     ) {
         let base = u32::try_from(self.store.len()).expect("more than u32::MAX states");
         let mut map = ProvMap::new(&self.index.pending_lens(), base);
-        let resolved: Vec<(Vec<StateId>, u64)> = rows
+        let resolved: Vec<IdRow<C::Witness>> = rows
             .into_iter()
-            .map(|(provs, fp)| (provs.into_iter().map(|p| map.resolve(p)).collect(), fp))
+            .map(|(entries, fp)| {
+                let ids = entries
+                    .into_iter()
+                    .map(|(prov, witness)| (map.resolve(prov), witness))
+                    .collect();
+                (ids, fp)
+            })
             .collect();
-        let orbits = self.index.publish(&mut self.store, &map);
-        for _ in 0..orbits.len() {
-            self.succ.push(None);
-            self.succ_fp.push(0);
-        }
-        obs.counter("space.intern.hits", stats.hits);
-        obs.counter("space.intern.misses", stats.misses);
+        let new = self.index.publish(&mut self.store, &map);
+        C::count_hits(obs, stats.hits);
+        C::count_new(obs, stats.misses, &new);
         obs.counter("space.shard.contention", stats.contention);
         obs.counter("space.intern.cas_retries", stats.retries);
+        self.grow(new);
         obs.gauge("space.states", self.store.len() as u64);
-        for (&id, (yids, fp)) in pending.iter().zip(&resolved) {
-            self.record_ids(id, yids, *fp, obs);
+        C::report_orbits(obs, &self.orbits);
+        for (&id, (entries, fp)) in pending.iter().zip(resolved) {
+            self.record_row(id, entries, fp, obs);
         }
     }
 
-    /// Sequential bulk expansion of `ids` (no `Sync` bounds): the exact
-    /// same probe-stage-renumber-publish path the parallel variant uses,
-    /// run inline.
+    /// Bulk expansion of `ids` inline on the calling thread (no `Sync`
+    /// bounds): the exact probe-stage-renumber-publish path the parallel
+    /// variant uses.
     fn bulk_seq(&mut self, model: &M, ids: &[StateId], obs: &dyn Observer) {
         let pending = self.pending_of(ids);
         if pending.is_empty() {
             return;
         }
-        let (rows, stats) = expand_chunk(model, &self.store, &self.index, &pending);
+        let (rows, stats) = expand_chunk::<M, C>(model, &self.store, &self.index, &pending);
         self.finish_bulk(&pending, rows, stats, obs);
     }
 
-    /// Parallel bulk expansion of `ids` across up to `threads` scoped
-    /// workers probing the sharded index concurrently.
-    fn bulk_par(&mut self, model: &M, ids: &[StateId], threads: usize, obs: &dyn Observer)
-    where
+    /// Eagerly computes, canonicalizes and caches the successor lists of
+    /// `ids`, fanning the per-state work (`model.successors` plus the
+    /// canonicalization of every raw successor) out across up to `threads`
+    /// scoped workers that intern through the sharded index as they expand.
+    ///
+    /// Determinism: workers probe and stage concurrently, but no dense id
+    /// is assigned until the renumbering pass on the calling thread walks
+    /// the results in the order of `ids` — the exact order the sequential
+    /// path would have used. The resulting interning order — and therefore
+    /// every id, layer and report derived from it — is identical to calling
+    /// [`Arena::successor_ids`] sequentially over `ids`.
+    pub fn prefetch_successors(
+        &mut self,
+        model: &M,
+        ids: &[StateId],
+        threads: usize,
+        obs: &dyn Observer,
+    ) where
         M: Sync,
         M::State: Send + Sync,
     {
@@ -1093,13 +1206,12 @@ impl<M: LayeredModel> StateSpace<M> {
         }
         let threads = threads.max(1).min(pending.len());
         if threads == 1 {
-            let (rows, stats) = expand_chunk(model, &self.store, &self.index, &pending);
-            self.finish_bulk(&pending, rows, stats, obs);
+            self.bulk_seq(model, &pending, obs);
             return;
         }
         let (store, index) = (&self.store, &self.index);
         let parent = trace::current_span_id();
-        let chunked: Vec<ChunkOutput> = std::thread::scope(|scope| {
+        let chunked: Vec<ChunkOutput<C::Witness>> = std::thread::scope(|scope| {
             let handles: Vec<_> = balanced_chunks(&pending, threads)
                 .map(|part| {
                     scope.spawn(move || {
@@ -1109,7 +1221,7 @@ impl<M: LayeredModel> StateSpace<M> {
                             parent,
                             &[("chunk_len", part.len() as u64)],
                         );
-                        expand_chunk(model, store, index, part)
+                        expand_chunk::<M, C>(model, store, index, part)
                     })
                 })
                 .collect();
@@ -1127,33 +1239,11 @@ impl<M: LayeredModel> StateSpace<M> {
         self.finish_bulk(&pending, rows, stats, obs);
     }
 
-    /// Eagerly computes and caches the successor lists of `ids`, fanning
-    /// the `model.successors` calls out across up to `threads` scoped
-    /// workers that intern through the sharded index as they expand.
-    ///
-    /// Determinism: workers probe and stage concurrently, but no dense id
-    /// is assigned until the renumbering pass on the calling thread walks
-    /// the results in the order of `ids` — the exact order the sequential
-    /// path would have used. The resulting interning order — and therefore
-    /// every id, layer and report derived from it — is identical to calling
-    /// [`StateSpace::successor_ids`] sequentially over `ids`.
-    pub fn prefetch_successors(
-        &mut self,
-        model: &M,
-        ids: &[StateId],
-        threads: usize,
-        obs: &dyn Observer,
-    ) where
-        M: Sync,
-        M::State: Send + Sync,
-    {
-        self.bulk_par(model, ids, threads, obs);
-    }
-
     /// Breadth-first expansion of the layered graph from `roots` for
-    /// `horizon` layers, interning every state and caching every successor
-    /// list. Returns the interned levels (`levels[d]` = distinct states at
-    /// depth `d` relative to the roots, in first-seen order).
+    /// `horizon` layers, interning every root's representative and caching
+    /// every successor list. Returns the interned levels (`levels[d]` =
+    /// distinct representatives at depth `d` relative to the roots, in
+    /// first-seen order).
     ///
     /// Telemetry: the sweep runs under a `space.build` span and reports
     /// `engine.states_visited`, `engine.dedup_hits` and the
@@ -1170,11 +1260,12 @@ impl<M: LayeredModel> StateSpace<M> {
         })
     }
 
-    /// [`StateSpace::expand_layers`] with the per-level successor
-    /// computation fanned out across up to `threads` scoped workers.
+    /// [`Arena::expand_layers`] with the per-level successor computation
+    /// and canonicalization fanned out across up to `threads` scoped
+    /// workers.
     ///
     /// Bit-identical to the sequential path (see
-    /// [`StateSpace::prefetch_successors`] for why).
+    /// [`Arena::prefetch_successors`] for why).
     pub fn expand_layers_parallel(
         &mut self,
         model: &M,
@@ -1188,737 +1279,7 @@ impl<M: LayeredModel> StateSpace<M> {
         M::State: Send + Sync,
     {
         self.expand_with(model, roots, horizon, obs, |space, frontier| {
-            space.bulk_par(model, frontier, threads, obs);
-        })
-    }
-
-    fn expand_with(
-        &mut self,
-        model: &M,
-        roots: &[M::State],
-        horizon: usize,
-        obs: &dyn Observer,
-        mut prefetch: impl FnMut(&mut Self, &[StateId]),
-    ) -> Vec<Vec<StateId>> {
-        let _span = Span::enter(obs, "space.build");
-        obs.gauge("space.shard.count", SHARD_COUNT as u64);
-        let mut levels: Vec<Vec<StateId>> = Vec::with_capacity(horizon + 1);
-        let mut frontier: Vec<StateId> = Vec::new();
-        let mut seen: HashSet<StateId> = HashSet::new();
-        for r in roots {
-            let id = self.intern_with(r, obs);
-            if seen.insert(id) {
-                frontier.push(id);
-            } else {
-                obs.counter("engine.dedup_hits", 1);
-            }
-        }
-        obs.gauge("engine.frontier_width", frontier.len() as u64);
-        levels.push(frontier.clone());
-        let mut heartbeat = Heartbeat::new();
-        for depth in 0..horizon {
-            let _layer_span = Span::enter_with(
-                obs,
-                "space.layer",
-                &[
-                    ("depth", depth as u64 + 1),
-                    ("frontier", frontier.len() as u64),
-                ],
-            );
-            let layer_started = if obs.enabled() {
-                clock::monotonic_ns()
-            } else {
-                0
-            };
-            prefetch(self, &frontier);
-            let mut seen: HashSet<StateId> = HashSet::new();
-            let mut next = Vec::new();
-            for &id in &frontier {
-                obs.counter("engine.states_visited", 1);
-                for y in self.successor_ids(model, id, obs) {
-                    if seen.insert(y) {
-                        next.push(y);
-                    } else {
-                        obs.counter("engine.dedup_hits", 1);
-                    }
-                }
-            }
-            if obs.enabled() {
-                obs.histogram(
-                    "space.layer_expand_ns",
-                    clock::monotonic_ns().saturating_sub(layer_started),
-                );
-            }
-            obs.gauge("engine.frontier_width", next.len() as u64);
-            heartbeat.tick(obs, depth + 1, next.len(), self.len());
-            levels.push(next.clone());
-            frontier = next;
-        }
-        levels
-    }
-}
-
-/// Shared estimate of the sharded intern index's bytes: each shard map's
-/// own capacity plus every bucket vector's. Shallow (allocator headers and
-/// the drained pending scratch excluded), but deterministic — capacities
-/// depend only on per-shard entry counts, which are a pure function of the
-/// interned set.
-fn index_bytes<S>(index: &ShardedIndex<S>) -> u64 {
-    index
-        .shards
-        .iter()
-        .map(|m| {
-            let g = match m.lock() {
-                Ok(g) => g,
-                Err(_) => panic!("intern shard poisoned: a worker panicked"),
-            };
-            let table = g.buckets.capacity() as u64 * std::mem::size_of::<(u64, Vec<u32>)>() as u64;
-            let buckets: u64 = g
-                .buckets
-                .values()
-                .map(|b| b.capacity() as u64 * std::mem::size_of::<u32>() as u64)
-                .sum();
-            table + buckets
-        })
-        .sum()
-}
-
-/// Intern-table load factor in fixed-point thousandths
-/// (`distinct hashes / table capacity × 1000`, summed across shards).
-fn index_load_x1000<S>(index: &ShardedIndex<S>) -> u64 {
-    let (mut len, mut cap) = (0u64, 0u64);
-    for m in &index.shards {
-        let g = match m.lock() {
-            Ok(g) => g,
-            Err(_) => panic!("intern shard poisoned: a worker panicked"),
-        };
-        len += g.buckets.len() as u64;
-        cap += g.buckets.capacity() as u64;
-    }
-    len * 1000 / cap.max(1)
-}
-
-impl<M: LayeredModel> MemoryFootprint for StateSpace<M> {
-    /// Shallow, capacity-based accounting (see
-    /// [`telemetry::mem`](crate::telemetry::mem)): state payloads that own
-    /// further heap (e.g. vectors inside `M::State`) are counted at their
-    /// inline size only, so every figure is a deterministic lower bound.
-    /// Packed stores count 16 bytes per word plus the spill vector.
-    fn memory_footprint(&self) -> MemoryBreakdown {
-        let mut b = MemoryBreakdown::new();
-        b.push("mem.space.states_bytes", self.store.state_bytes());
-        b.push("mem.space.index_bytes", index_bytes(&self.index));
-        b.push(
-            "mem.space.edges_bytes",
-            self.edges.capacity() as u64 * std::mem::size_of::<StateId>() as u64
-                + self.succ.capacity() as u64 * std::mem::size_of::<Option<SuccRange>>() as u64,
-        );
-        b
-    }
-
-    /// Adds the `space.intern.load_x1000` and `space.pack.bytes_saved`
-    /// gauges next to the byte gauges.
-    fn report_memory(&self, obs: &dyn Observer) {
-        self.memory_footprint().report(obs);
-        obs.gauge("space.intern.load_x1000", index_load_x1000(&self.index));
-        obs.gauge("space.pack.bytes_saved", self.store.bytes_saved());
-    }
-}
-
-impl<M: Symmetric> MemoryFootprint for QuotientSpace<M> {
-    /// Shallow, capacity-based accounting like
-    /// [`StateSpace`]'s, plus the quotient-only arrays: orbit sizes and
-    /// the per-edge witnessing permutations (counted at their inline size
-    /// plus their permutation maps).
-    fn memory_footprint(&self) -> MemoryBreakdown {
-        let mut b = MemoryBreakdown::new();
-        b.push("mem.space.states_bytes", self.store.state_bytes());
-        b.push("mem.space.index_bytes", index_bytes(&self.index));
-        b.push(
-            "mem.space.edges_bytes",
-            self.edges.capacity() as u64 * std::mem::size_of::<StateId>() as u64
-                + self.succ.capacity() as u64 * std::mem::size_of::<Option<SuccRange>>() as u64,
-        );
-        b.push(
-            "mem.space.orbits_bytes",
-            self.orbit_sizes.capacity() as u64 * std::mem::size_of::<u64>() as u64,
-        );
-        let perm_maps: u64 = self.edge_perms.iter().map(|p| p.degree() as u64).sum();
-        b.push(
-            "mem.space.perms_bytes",
-            self.edge_perms.capacity() as u64 * std::mem::size_of::<PidPerm>() as u64 + perm_maps,
-        );
-        b
-    }
-
-    /// Adds the `space.intern.load_x1000` and `space.pack.bytes_saved`
-    /// gauges next to the byte gauges.
-    fn report_memory(&self, obs: &dyn Observer) {
-        self.memory_footprint().report(obs);
-        obs.gauge("space.intern.load_x1000", index_load_x1000(&self.index));
-        obs.gauge("space.pack.bytes_saved", self.store.bytes_saved());
-    }
-}
-
-/// Splits `items` into at most `parts` contiguous chunks whose lengths
-/// differ by at most one (the first `len % parts` chunks get the extra
-/// element). Unlike `chunks(len.div_ceil(parts))`, this never produces a
-/// degenerate tail chunk — 9 items over 8 workers yield chunks of
-/// 2,1,1,1,1,1,1,1 instead of four chunks of 2 and one of 1 on 5 workers.
-fn balanced_chunks<T>(items: &[T], parts: usize) -> impl Iterator<Item = &[T]> {
-    let parts = parts.clamp(1, items.len().max(1));
-    let base = items.len() / parts;
-    let extra = items.len() % parts;
-    let mut start = 0;
-    (0..parts).map(move |k| {
-        let len = base + usize::from(k < extra);
-        let part = items
-            .get(start..start + len)
-            .expect("chunk arithmetic partitions the slice exactly");
-        start += len;
-        part
-    })
-}
-
-/// A hash-consing arena over *canonical orbit representatives* of a
-/// [`Symmetric`] model's states.
-///
-/// Interning canonicalizes first: all `n!` process renamings of a state
-/// collapse to one [`StateId`], so the arena holds exactly one state per
-/// orbit and successor lists are computed once per orbit instead of once
-/// per member. Each cached edge `c → c'` additionally stores a permutation
-/// `σ` such that `σ · y = c'` for the raw successor `y ∈ S(c)` it came
-/// from; [`QuotientSpace::dequotient_path`] folds those witnesses back into
-/// a genuine execution of the model (see the de-quotienting recurrence
-/// there), which is how id paths through the quotient turn into runs that
-/// pass [`ExecutionTrace::validate`](crate::ExecutionTrace::validate).
-///
-/// # Soundness requires an equivariant layering
-///
-/// The construction is a quotient of the layered graph only when
-/// `S(π·x) = π·S(x)`; [`QuotientSpace::new`] therefore panics unless
-/// [`Symmetric::symmetric_layering`] holds for the model's current
-/// configuration (each model crate's *full* layering variant).
-///
-/// # Id layout and determinism
-///
-/// Identical to [`StateSpace`]: ids are assigned in interning order of the
-/// canonical representatives, successor lists are CSR-packed, and the
-/// parallel expansion path is bit-identical to the sequential one (workers
-/// compute *and canonicalize* successors for disjoint frontier chunks —
-/// both pure — staging novel orbits in the sharded index, and the dense
-/// renumbering happens on the calling thread in frontier order).
-pub struct QuotientSpace<M: Symmetric> {
-    /// Canonical representatives, packed or boxed, indexed by [`StateId`].
-    store: Store<M::State>,
-    /// Orbit size of each representative (distinct renamings of it).
-    orbit_sizes: Vec<u64>,
-    index: ShardedIndex<M::State>,
-    succ: Vec<Option<SuccRange>>,
-    edges: Vec<StateId>,
-    /// Per-edge witnessing permutation, parallel to `edges`: for the edge
-    /// at position `e` from `c` to `c'`, `edge_perms[e] · y = c'` where
-    /// `y ∈ S(c)` is the raw successor the edge was computed from.
-    edge_perms: Vec<PidPerm>,
-    /// FxHash fingerprint of each orbit's *raw* (pre-canonicalization)
-    /// successor list (0 until cached) — the differential-refresh change
-    /// detector.
-    succ_fp: Vec<u64>,
-}
-
-/// A raw successor, canonicalized: the orbit representative, the witnessing
-/// permutation, and the orbit size (precomputed off-arena so parallel
-/// workers can do the `n!`-enumeration work).
-type CanonSucc<M> = (<M as LayeredModel>::State, PidPerm, u64);
-
-impl<M: Symmetric> QuotientSpace<M> {
-    /// An empty quotient arena for `model`, storing representatives packed
-    /// when the model provides a [`StatePacker`], boxed otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model's current layering is not equivariant
-    /// ([`Symmetric::symmetric_layering`] is `false`) — quotienting a
-    /// prefix-based layering would silently prune reachable orbits.
-    #[must_use]
-    pub fn new(model: &M) -> Self {
-        let store = match model.state_packer() {
-            Some(p) => Store::packed(p),
-            None => Store::boxed(),
-        };
-        Self::with_store(model, store)
-    }
-
-    /// An empty quotient arena with boxed storage even when the model
-    /// packs (the packed-vs-boxed cross-check path).
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`QuotientSpace::new`] on a non-equivariant layering.
-    #[must_use]
-    pub fn new_boxed(model: &M) -> Self {
-        Self::with_store(model, Store::boxed())
-    }
-
-    fn with_store(model: &M, store: Store<M::State>) -> Self {
-        assert!(
-            model.symmetric_layering(),
-            "QuotientSpace requires an equivariant layering \
-             (use the model's full/symmetric layering variant)"
-        );
-        QuotientSpace {
-            store,
-            orbit_sizes: Vec::new(),
-            index: ShardedIndex::new(),
-            succ: Vec::new(),
-            edges: Vec::new(),
-            edge_perms: Vec::new(),
-            succ_fp: Vec::new(),
-        }
-    }
-
-    /// Number of orbits interned so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether no orbit has been interned yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.store.len() == 0
-    }
-
-    /// Total successor edges cached so far (with multiplicity).
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Total full-space states covered by the interned orbits (the sum of
-    /// their orbit sizes) — the denominator-free form of the compression
-    /// the quotient achieves.
-    #[must_use]
-    pub fn covered_states(&self) -> u64 {
-        self.orbit_sizes.iter().sum()
-    }
-
-    /// Interns a state that is *already* a canonical representative with a
-    /// known orbit size. Internal: callers go through `intern_with`.
-    fn intern_canonical(&mut self, rep: &M::State, orbit: u64, obs: &dyn Observer) -> StateId {
-        let key = self.store.key_of(rep);
-        let shard = self.index.shard_mut(key.hash);
-        if let Probe::Hit(id, _) = probe_dense(&self.store, shard.buckets.get(&key.hash), &key, rep)
-        {
-            obs.counter("space.canon.hits", 1);
-            return id;
-        }
-        let id = u32::try_from(self.store.len()).expect("more than u32::MAX orbits");
-        self.store.push(&key, rep);
-        self.orbit_sizes.push(orbit);
-        self.succ.push(None);
-        self.succ_fp.push(0);
-        shard.buckets.entry(key.hash).or_default().push(id);
-        obs.counter("space.canon.orbit_states", orbit);
-        obs.gauge("space.states", self.store.len() as u64);
-        // Mean orbit size in fixed-point thousandths (a reading of 5920
-        // means each interned representative stands for 5.92 full-space
-        // states on average) — see the units table in `telemetry::names`.
-        obs.gauge(
-            "space.quotient.mean_orbit_x1000",
-            self.covered_states() * 1000 / self.store.len() as u64,
-        );
-        StateId(id)
-    }
-
-    /// Interns the orbit of `x`, returning the representative's id and a
-    /// permutation `π` with `π · x == representative`.
-    pub fn intern(&mut self, model: &M, x: &M::State) -> (StateId, PidPerm) {
-        self.intern_with(model, x, &NOOP)
-    }
-
-    /// [`QuotientSpace::intern`] with telemetry: canonicalization runs
-    /// under a `space.canonicalize` span and reports `space.canon.hits` /
-    /// `space.canon.orbit_states` counters plus the `space.states` and
-    /// `space.quotient.mean_orbit_x1000` gauges.
-    pub fn intern_with(
-        &mut self,
-        model: &M,
-        x: &M::State,
-        obs: &dyn Observer,
-    ) -> (StateId, PidPerm) {
-        let (rep, perm, orbit) = {
-            let _span = Span::enter(obs, "space.canonicalize");
-            model.canonicalize_with_orbit(x)
-        };
-        let id = self.intern_canonical(&rep, orbit, obs);
-        (id, perm)
-    }
-
-    /// The representative's id for `x`'s orbit if it has been interned,
-    /// without interning it.
-    #[must_use]
-    pub fn get(&self, model: &M, x: &M::State) -> Option<StateId> {
-        let (rep, _) = model.canonicalize(x);
-        let key = self.store.key_of(&rep);
-        let shard = self.index.shard(key.hash);
-        match probe_dense(&self.store, shard.buckets.get(&key.hash), &key, &rep) {
-            Probe::Hit(id, _) => Some(id),
-            Probe::Miss(_) => None,
-        }
-    }
-
-    /// The canonical representative behind `id`, owned: unpacked from the
-    /// packed word, or cloned out of the boxed store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this space.
-    #[must_use]
-    pub fn resolve(&self, id: StateId) -> M::State {
-        self.store.get(id.index())
-    }
-
-    /// The orbit size of the representative behind `id`.
-    #[must_use]
-    pub fn orbit_size_of(&self, id: StateId) -> u64 {
-        self.orbit_sizes[id.index()]
-    }
-
-    /// The representatives behind `ids`, owned.
-    #[must_use]
-    pub fn materialize(&self, ids: &[StateId]) -> Vec<M::State> {
-        ids.iter().map(|&id| self.resolve(id)).collect()
-    }
-
-    /// The cached successor list of `id` (orbit representatives), or `None`
-    /// if it has not been computed yet.
-    #[must_use]
-    pub fn cached_successors(&self, id: StateId) -> Option<&[StateId]> {
-        self.succ[id.index()].map(|r| {
-            let start = r.start as usize;
-            self.edges
-                .get(start..start + r.len as usize)
-                .expect("SuccRange lies within the edge array by construction")
-        })
-    }
-
-    /// The cached successor list of `id` together with the per-edge
-    /// witnessing permutations.
-    #[must_use]
-    pub fn cached_successors_with_perms(&self, id: StateId) -> Option<(&[StateId], &[PidPerm])> {
-        self.succ[id.index()].map(|r| {
-            let (start, end) = (r.start as usize, r.start as usize + r.len as usize);
-            (&self.edges[start..end], &self.edge_perms[start..end])
-        })
-    }
-
-    /// Canonicalizes the raw successors of the representative behind `id`
-    /// (pure). Also returns the fingerprint of the *raw* successor list —
-    /// computed before canonicalization so a protocol change is detected
-    /// even when the canonical images happen to coincide.
-    fn canon_successors_of(&self, model: &M, id: StateId) -> (Vec<CanonSucc<M>>, u64) {
-        let x = self.store.get(id.index());
-        let raw = model.successors(&x);
-        let fp = successor_fingerprint(&raw);
-        let canon = raw
-            .iter()
-            .map(|y| model.canonicalize_with_orbit(y))
-            .collect();
-        (canon, fp)
-    }
-
-    /// Packs already-resolved successor entries of `id` into the edge
-    /// arrays, deduplicating by representative id (first witness wins).
-    /// No-op if `id`'s successors are already cached.
-    fn record_canon_ids(
-        &mut self,
-        id: StateId,
-        entries: &[(StateId, PidPerm)],
-        fp: u64,
-        obs: &dyn Observer,
-    ) {
-        if self.succ[id.index()].is_some() {
-            return;
-        }
-        let start = u32::try_from(self.edges.len()).expect("more than u32::MAX edges");
-        let mut seen: HashSet<StateId> = HashSet::new();
-        for (yid, perm) in entries {
-            if seen.insert(*yid) {
-                self.edges.push(*yid);
-                self.edge_perms.push(perm.clone());
-            }
-        }
-        let len = u32::try_from(seen.len()).expect("layer larger than u32::MAX");
-        self.succ[id.index()] = Some(SuccRange { start, len });
-        self.succ_fp[id.index()] = fp;
-        obs.histogram("space.succ_fanout", len.into());
-    }
-
-    /// Interns pre-canonicalized successors of `id` into the edge arrays,
-    /// deduplicating by representative id (first witness wins). No-op if
-    /// `id`'s successors are already cached. `fp` is the raw-successor-list
-    /// fingerprint from [`QuotientSpace::canon_successors_of`].
-    fn record_successors(
-        &mut self,
-        id: StateId,
-        succs: &[CanonSucc<M>],
-        fp: u64,
-        obs: &dyn Observer,
-    ) {
-        if self.succ[id.index()].is_some() {
-            return;
-        }
-        let entries: Vec<(StateId, PidPerm)> = succs
-            .iter()
-            .map(|(rep, perm, orbit)| (self.intern_canonical(rep, *orbit, obs), perm.clone()))
-            .collect();
-        self.record_canon_ids(id, &entries, fp, obs);
-    }
-
-    /// The successor orbit ids of `id` under `model`'s layering, computing,
-    /// canonicalizing and caching the list on first use. Multiple raw
-    /// successors in the same orbit collapse to one edge.
-    pub fn successor_ids(&mut self, model: &M, id: StateId, obs: &dyn Observer) -> Vec<StateId> {
-        if self.succ[id.index()].is_none() {
-            let (succs, fp) = self.canon_successors_of(model, id);
-            self.record_successors(id, &succs, fp, obs);
-        }
-        self.cached_successors(id)
-            .expect("successors just recorded")
-            .to_vec()
-    }
-
-    /// The fingerprint of `id`'s cached raw successor list, or `None` if
-    /// the list has not been computed yet.
-    #[must_use]
-    pub fn successor_fingerprint_of(&self, id: StateId) -> Option<u64> {
-        self.succ[id.index()].map(|_| self.succ_fp[id.index()])
-    }
-
-    /// Differential re-verification after a protocol change — the quotient
-    /// twin of [`StateSpace::refresh_differential`]: every cached orbit's
-    /// raw successor list is recomputed under `model`, but only orbits
-    /// whose fingerprint moved pay for canonicalization (the `n!` work that
-    /// dominates quotient expansion); unchanged orbits have their CSR and
-    /// permutation slices copied verbatim.
-    ///
-    /// Telemetry: a `space.resume.refresh` span plus the
-    /// `space.resume.orbits_reused` / `space.resume.orbits_recomputed`
-    /// counters.
-    pub fn refresh_differential(&mut self, model: &M, obs: &dyn Observer) -> DiffReport {
-        let _span = Span::enter(obs, "space.resume.refresh");
-        let old_len = self.store.len();
-        let old_succ = std::mem::take(&mut self.succ);
-        let old_edges = std::mem::take(&mut self.edges);
-        let old_perms = std::mem::take(&mut self.edge_perms);
-        let old_fp = std::mem::take(&mut self.succ_fp);
-        self.succ = vec![None; old_len];
-        self.succ_fp = vec![0; old_len];
-        let mut report = DiffReport::default();
-        for k in 0..old_len {
-            let Some(range) = old_succ[k] else { continue };
-            let x = self.store.get(k);
-            let raw = model.successors(&x);
-            let fp = successor_fingerprint(&raw);
-            if fp == old_fp[k] {
-                let start = u32::try_from(self.edges.len()).expect("more than u32::MAX edges");
-                let (s, e) = (range.start as usize, (range.start + range.len) as usize);
-                self.edges.extend_from_slice(&old_edges[s..e]);
-                self.edge_perms.extend_from_slice(&old_perms[s..e]);
-                self.succ[k] = Some(SuccRange {
-                    start,
-                    len: range.len,
-                });
-                self.succ_fp[k] = fp;
-                report.reused += 1;
-            } else {
-                let canon: Vec<CanonSucc<M>> = raw
-                    .iter()
-                    .map(|y| model.canonicalize_with_orbit(y))
-                    .collect();
-                self.record_successors(StateId(k as u32), &canon, fp, obs);
-                report.recomputed += 1;
-            }
-        }
-        report.new_states = self.store.len() - old_len;
-        obs.counter("space.resume.orbits_reused", report.reused as u64);
-        obs.counter("space.resume.orbits_recomputed", report.recomputed as u64);
-        report
-    }
-
-    /// The subset of `ids` whose successor lists are not cached yet.
-    fn pending_of(&self, ids: &[StateId]) -> Vec<StateId> {
-        ids.iter()
-            .copied()
-            .filter(|id| self.succ[id.index()].is_none())
-            .collect()
-    }
-
-    /// Renumbers, publishes and records the results of one bulk quotient
-    /// expansion (see [`StateSpace::finish_bulk`]); staged orbit sizes are
-    /// published alongside the representatives.
-    #[allow(clippy::type_complexity)]
-    fn finish_bulk(
-        &mut self,
-        pending: &[StateId],
-        rows: Vec<(Vec<(u64, PidPerm)>, u64)>,
-        stats: InternStats,
-        obs: &dyn Observer,
-    ) {
-        let base = u32::try_from(self.store.len()).expect("more than u32::MAX orbits");
-        let mut map = ProvMap::new(&self.index.pending_lens(), base);
-        let resolved: Vec<(Vec<(StateId, PidPerm)>, u64)> = rows
-            .into_iter()
-            .map(|(entries, fp)| {
-                (
-                    entries
-                        .into_iter()
-                        .map(|(p, perm)| (map.resolve(p), perm))
-                        .collect(),
-                    fp,
-                )
-            })
-            .collect();
-        let orbits = self.index.publish(&mut self.store, &map);
-        obs.counter("space.canon.hits", stats.hits);
-        obs.counter("space.canon.orbit_states", orbits.iter().sum());
-        obs.counter("space.shard.contention", stats.contention);
-        obs.counter("space.intern.cas_retries", stats.retries);
-        for orbit in orbits {
-            self.orbit_sizes.push(orbit);
-            self.succ.push(None);
-            self.succ_fp.push(0);
-        }
-        obs.gauge("space.states", self.store.len() as u64);
-        if self.store.len() > 0 {
-            obs.gauge(
-                "space.quotient.mean_orbit_x1000",
-                self.covered_states() * 1000 / self.store.len() as u64,
-            );
-        }
-        for (&id, (entries, fp)) in pending.iter().zip(&resolved) {
-            self.record_canon_ids(id, entries, *fp, obs);
-        }
-    }
-
-    /// Sequential bulk expansion of `ids` (no `Sync` bounds): the exact
-    /// same probe-stage-renumber-publish path the parallel variant uses,
-    /// run inline.
-    fn bulk_seq(&mut self, model: &M, ids: &[StateId], obs: &dyn Observer) {
-        let pending = self.pending_of(ids);
-        if pending.is_empty() {
-            return;
-        }
-        let (rows, stats) = canon_chunk(model, &self.store, &self.index, &pending);
-        self.finish_bulk(&pending, rows, stats, obs);
-    }
-
-    /// Parallel bulk expansion of `ids` across up to `threads` scoped
-    /// workers canonicalizing and probing the sharded index concurrently.
-    fn bulk_par(&mut self, model: &M, ids: &[StateId], threads: usize, obs: &dyn Observer)
-    where
-        M: Sync,
-        M::State: Send + Sync,
-    {
-        let pending = self.pending_of(ids);
-        if pending.is_empty() {
-            return;
-        }
-        let threads = threads.max(1).min(pending.len());
-        if threads == 1 {
-            let (rows, stats) = canon_chunk(model, &self.store, &self.index, &pending);
-            self.finish_bulk(&pending, rows, stats, obs);
-            return;
-        }
-        let (store, index) = (&self.store, &self.index);
-        let parent = trace::current_span_id();
-        type ChunkOut = (Vec<(Vec<(u64, PidPerm)>, u64)>, InternStats);
-        let chunked: Vec<ChunkOut> = std::thread::scope(|scope| {
-            let handles: Vec<_> = balanced_chunks(&pending, threads)
-                .map(|part| {
-                    scope.spawn(move || {
-                        let _span = Span::enter_under(
-                            obs,
-                            "space.prefetch_chunk",
-                            parent,
-                            &[("chunk_len", part.len() as u64)],
-                        );
-                        canon_chunk(model, store, index, part)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("canonicalization worker panicked"))
-                .collect()
-        });
-        let mut rows = Vec::with_capacity(pending.len());
-        let mut stats = InternStats::default();
-        for (r, s) in chunked {
-            rows.extend(r);
-            stats.merge(&s);
-        }
-        self.finish_bulk(&pending, rows, stats, obs);
-    }
-
-    /// Eagerly computes, canonicalizes and caches the successor lists of
-    /// `ids`, fanning the per-orbit work (`model.successors` plus the
-    /// canonicalization of every raw successor — the expensive part of
-    /// quotient expansion) across up to `threads` scoped workers that
-    /// intern through the sharded index as they expand. Deterministic for
-    /// the same reason as [`StateSpace::prefetch_successors`]: dense ids
-    /// are only assigned by the frontier-order renumbering pass on the
-    /// calling thread.
-    pub fn prefetch_successors(
-        &mut self,
-        model: &M,
-        ids: &[StateId],
-        threads: usize,
-        obs: &dyn Observer,
-    ) where
-        M: Sync,
-        M::State: Send + Sync,
-    {
-        self.bulk_par(model, ids, threads, obs);
-    }
-
-    /// Breadth-first expansion of the *quotient* graph from `roots` for
-    /// `horizon` layers: each root is canonicalized and interned, and each
-    /// level holds the distinct orbit representatives at that depth.
-    ///
-    /// Telemetry mirrors [`StateSpace::expand_layers`] (`space.build` span,
-    /// `engine.*` counters) plus the quotient counters from
-    /// [`QuotientSpace::intern_with`].
-    pub fn expand_layers(
-        &mut self,
-        model: &M,
-        roots: &[M::State],
-        horizon: usize,
-        obs: &dyn Observer,
-    ) -> Vec<Vec<StateId>> {
-        self.expand_with(model, roots, horizon, obs, |space, frontier| {
-            space.bulk_seq(model, frontier, obs);
-        })
-    }
-
-    /// [`QuotientSpace::expand_layers`] with per-level successor
-    /// computation and canonicalization fanned out across up to `threads`
-    /// scoped workers. Bit-identical to the sequential path.
-    pub fn expand_layers_parallel(
-        &mut self,
-        model: &M,
-        roots: &[M::State],
-        horizon: usize,
-        threads: usize,
-        obs: &dyn Observer,
-    ) -> Vec<Vec<StateId>>
-    where
-        M: Sync,
-        M::State: Send + Sync,
-    {
-        self.expand_with(model, roots, horizon, obs, |space, frontier| {
-            space.bulk_par(model, frontier, threads, obs);
+            space.prefetch_successors(model, frontier, threads, obs);
         })
     }
 
@@ -1986,6 +1347,32 @@ impl<M: Symmetric> QuotientSpace<M> {
         }
         levels
     }
+}
+
+impl<M: Symmetric> Arena<M, OrbitMin> {
+    /// Total full-space states covered by the interned orbits (the sum of
+    /// their orbit sizes) — the denominator-free form of the compression
+    /// the quotient achieves.
+    #[must_use]
+    pub fn covered_states(&self) -> u64 {
+        self.orbits.iter().sum()
+    }
+
+    /// The orbit size of the representative behind `id`.
+    #[must_use]
+    pub fn orbit_size_of(&self, id: StateId) -> u64 {
+        self.orbits[id.index()]
+    }
+
+    /// The cached successor list of `id` together with the per-edge
+    /// witnessing permutations.
+    #[must_use]
+    pub fn cached_successors_with_perms(&self, id: StateId) -> Option<(&[StateId], &[PidPerm])> {
+        self.succ[id.index()].map(|r| {
+            let (start, end) = (r.start as usize, r.start as usize + r.len as usize);
+            (&self.edges[start..end], &self.witnesses[start..end])
+        })
+    }
 
     /// De-quotients an id path into a genuine execution of the model.
     ///
@@ -2021,6 +1408,96 @@ impl<M: Symmetric> QuotientSpace<M> {
     }
 }
 
+/// Shared estimate of the sharded intern index's bytes: each shard map's
+/// own capacity plus every bucket vector's. Shallow (allocator headers and
+/// the drained pending scratch excluded), but deterministic — capacities
+/// depend only on per-shard entry counts, which are a pure function of the
+/// interned set.
+fn index_bytes<S, O>(index: &ShardedIndex<S, O>) -> u64 {
+    index
+        .shards
+        .iter()
+        .map(|m| {
+            let g = match m.lock() {
+                Ok(g) => g,
+                Err(_) => panic!("intern shard poisoned: a worker panicked"),
+            };
+            let table = g.buckets.capacity() as u64 * std::mem::size_of::<(u64, Vec<u32>)>() as u64;
+            let buckets: u64 = g
+                .buckets
+                .values()
+                .map(|b| b.capacity() as u64 * std::mem::size_of::<u32>() as u64)
+                .sum();
+            table + buckets
+        })
+        .sum()
+}
+
+/// Intern-table load factor in fixed-point thousandths
+/// (`distinct hashes / table capacity × 1000`, summed across shards).
+fn index_load_x1000<S, O>(index: &ShardedIndex<S, O>) -> u64 {
+    let (mut len, mut cap) = (0u64, 0u64);
+    for m in &index.shards {
+        let g = match m.lock() {
+            Ok(g) => g,
+            Err(_) => panic!("intern shard poisoned: a worker panicked"),
+        };
+        len += g.buckets.len() as u64;
+        cap += g.buckets.capacity() as u64;
+    }
+    len * 1000 / cap.max(1)
+}
+
+impl<M: LayeredModel, C: Canonicalization<M>> MemoryFootprint for Arena<M, C> {
+    /// Shallow, capacity-based accounting (see
+    /// [`telemetry::mem`](crate::telemetry::mem)): state payloads that own
+    /// further heap (e.g. vectors inside `M::State`) are counted at their
+    /// inline size only, so every figure is a deterministic lower bound.
+    /// Packed stores count 16 bytes per word plus the spill vector; orbit
+    /// arenas add their orbit sizes and per-edge permutations (counted at
+    /// their inline size plus their permutation maps).
+    fn memory_footprint(&self) -> MemoryBreakdown {
+        let mut b = MemoryBreakdown::new();
+        b.push("mem.space.states_bytes", self.store.state_bytes());
+        b.push("mem.space.index_bytes", index_bytes(&self.index));
+        b.push(
+            "mem.space.edges_bytes",
+            self.edges.capacity() as u64 * std::mem::size_of::<StateId>() as u64
+                + self.succ.capacity() as u64 * std::mem::size_of::<Option<SuccRange>>() as u64,
+        );
+        C::extra_footprint(self, &mut b);
+        b
+    }
+
+    /// Adds the `space.intern.load_x1000` and `space.pack.bytes_saved`
+    /// gauges next to the byte gauges.
+    fn report_memory(&self, obs: &dyn Observer) {
+        self.memory_footprint().report(obs);
+        obs.gauge("space.intern.load_x1000", index_load_x1000(&self.index));
+        obs.gauge("space.pack.bytes_saved", self.store.bytes_saved());
+    }
+}
+
+/// Splits `items` into at most `parts` contiguous chunks whose lengths
+/// differ by at most one (the first `len % parts` chunks get the extra
+/// element). Unlike `chunks(len.div_ceil(parts))`, this never produces a
+/// degenerate tail chunk — 9 items over 8 workers yield chunks of
+/// 2,1,1,1,1,1,1,1 instead of four chunks of 2 and one of 1 on 5 workers.
+fn balanced_chunks<T>(items: &[T], parts: usize) -> impl Iterator<Item = &[T]> {
+    let parts = parts.clamp(1, items.len().max(1));
+    let base = items.len() / parts;
+    let extra = items.len() % parts;
+    let mut start = 0;
+    (0..parts).map(move |k| {
+        let len = base + usize::from(k < extra);
+        let part = items
+            .get(start..start + len)
+            .expect("chunk arithmetic partitions the slice exactly");
+        start += len;
+        part
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2030,9 +1507,9 @@ mod tests {
     #[test]
     fn intern_round_trips_and_deduplicates() {
         let m = CounterModel::new(2, 4);
-        let mut space: StateSpace<CounterModel> = StateSpace::for_model(&m);
+        let mut space: StateSpace<CounterModel> = StateSpace::new(&m);
         let states = m.initial_states();
-        let ids: Vec<StateId> = states.iter().map(|s| space.intern(s)).collect();
+        let ids: Vec<StateId> = states.iter().map(|s| space.intern(&m, s).0).collect();
         // Dense, contiguous, in interning order.
         for (k, id) in ids.iter().enumerate() {
             assert_eq!(id.index(), k);
@@ -2041,18 +1518,18 @@ mod tests {
         // Double interning returns the same ids and allocates nothing.
         let before = space.len();
         for (k, s) in states.iter().enumerate() {
-            assert_eq!(space.intern(s), ids[k]);
+            assert_eq!(space.intern(&m, s).0, ids[k]);
         }
         assert_eq!(space.len(), before);
-        assert_eq!(space.get(&states[0]), Some(ids[0]));
+        assert_eq!(space.get(&m, &states[0]), Some(ids[0]));
     }
 
     #[test]
     fn successor_lists_are_cached_once() {
         let m = CounterModel::new(2, 4);
-        let mut space: StateSpace<CounterModel> = StateSpace::for_model(&m);
+        let mut space: StateSpace<CounterModel> = StateSpace::new(&m);
         let x0 = m.initial_states().remove(0);
-        let id = space.intern(&x0);
+        let (id, ()) = space.intern(&m, &x0);
         assert!(space.cached_successors(id).is_none());
         let a = space.successor_ids(&m, id, &NOOP);
         let edges_after_first = space.edge_count();
@@ -2066,7 +1543,7 @@ mod tests {
     fn expand_layers_matches_model_exploration() {
         let m = CounterModel::new(3, 4);
         let roots = m.initial_states();
-        let mut space: StateSpace<CounterModel> = StateSpace::for_model(&m);
+        let mut space: StateSpace<CounterModel> = StateSpace::new(&m);
         let levels = space.expand_layers(&m, &roots, 3, &NOOP);
         let reference = crate::explore(&m, &roots, 3);
         assert_eq!(levels.len(), reference.levels.len());
@@ -2079,10 +1556,10 @@ mod tests {
     fn parallel_expansion_is_bit_identical() {
         let m = CounterModel::new(3, 4);
         let roots = m.initial_states();
-        let mut seq: StateSpace<CounterModel> = StateSpace::for_model(&m);
+        let mut seq: StateSpace<CounterModel> = StateSpace::new(&m);
         let seq_levels = seq.expand_layers(&m, &roots, 3, &NOOP);
         for threads in [2, 3, 8] {
-            let mut par: StateSpace<CounterModel> = StateSpace::for_model(&m);
+            let mut par: StateSpace<CounterModel> = StateSpace::new(&m);
             let par_levels = par.expand_layers_parallel(&m, &roots, 3, threads, &NOOP);
             assert_eq!(seq_levels, par_levels, "threads={threads}");
             assert_eq!(seq.len(), par.len());
@@ -2101,8 +1578,8 @@ mod tests {
         // identical ids, levels and successor lists.
         let m = CounterModel::new(3, 4);
         let roots = m.initial_states();
-        let mut packed: StateSpace<CounterModel> = StateSpace::for_model(&m);
-        let mut boxed: StateSpace<CounterModel> = StateSpace::new();
+        let mut packed: StateSpace<CounterModel> = StateSpace::new(&m);
+        let mut boxed: StateSpace<CounterModel> = StateSpace::new_boxed(&m);
         assert!(packed.store.is_packed());
         assert!(!boxed.store.is_packed());
         let a = packed.expand_layers(&m, &roots, 3, &NOOP);
@@ -2122,23 +1599,27 @@ mod tests {
         // Value 9 exceeds the 2-bit input lane, so the state spills — and
         // still round-trips through the arena.
         let m = CounterModel::new(2, 4);
-        let mut space: StateSpace<CounterModel> = StateSpace::for_model(&m);
+        let mut space: StateSpace<CounterModel> = StateSpace::new(&m);
         let wide = m.initial_state(&[crate::Value::new(9), crate::Value::ZERO]);
         let narrow = m.initial_state(&[crate::Value::ONE, crate::Value::ZERO]);
-        let wid = space.intern(&wide);
-        let nid = space.intern(&narrow);
+        let (wid, ()) = space.intern(&m, &wide);
+        let (nid, ()) = space.intern(&m, &narrow);
         assert_eq!(space.store.spill_len(), 1, "only the wide state spills");
         assert_eq!(space.resolve(wid), wide);
         assert_eq!(space.resolve(nid), narrow);
-        assert_eq!(space.intern(&wide), wid, "spilled states dedup too");
-        assert_eq!(space.get(&wide), Some(wid));
+        assert_eq!(space.intern(&m, &wide).0, wid, "spilled states dedup too");
+        assert_eq!(space.get(&m, &wide), Some(wid));
     }
 
     #[test]
     fn prefetch_marks_all_requested_states() {
         let m = CounterModel::new(2, 4);
-        let mut space: StateSpace<CounterModel> = StateSpace::for_model(&m);
-        let ids: Vec<StateId> = m.initial_states().iter().map(|s| space.intern(s)).collect();
+        let mut space: StateSpace<CounterModel> = StateSpace::new(&m);
+        let ids: Vec<StateId> = m
+            .initial_states()
+            .iter()
+            .map(|s| space.intern(&m, s).0)
+            .collect();
         space.prefetch_successors(&m, &ids, 4, &NOOP);
         for &id in &ids {
             assert!(space.cached_successors(id).is_some());
@@ -2242,10 +1723,10 @@ mod tests {
     fn interning_telemetry_counts_hits_and_misses() {
         let m = CounterModel::new(2, 4);
         let reg = MetricsRegistry::new();
-        let mut space: StateSpace<CounterModel> = StateSpace::for_model(&m);
+        let mut space: StateSpace<CounterModel> = StateSpace::new(&m);
         let x0 = m.initial_states().remove(0);
-        space.intern_with(&x0, &reg);
-        space.intern_with(&x0, &reg);
+        space.intern_with(&m, &x0, &reg);
+        space.intern_with(&m, &x0, &reg);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("space.intern.misses"), 1);
         assert_eq!(snap.counter("space.intern.hits"), 1);
@@ -2260,7 +1741,7 @@ mod tests {
         let mut counts = Vec::new();
         for threads in [1, 2, 8] {
             let reg = MetricsRegistry::new();
-            let mut space: StateSpace<CounterModel> = StateSpace::for_model(&m);
+            let mut space: StateSpace<CounterModel> = StateSpace::new(&m);
             space.expand_layers_parallel(&m, &roots, 3, threads, &reg);
             let snap = reg.snapshot();
             counts.push((

@@ -8,7 +8,7 @@
 //! equality test. A [`StatePacker`] replaces that representation *inside
 //! the arenas*: packable states are stored, hashed and compared as one
 //! `u128`, and only unpacked back into the model's state type at the
-//! [`resolve`](super::StateSpace::resolve) boundary.
+//! [`resolve`](super::Arena::resolve) boundary.
 //!
 //! # Contract
 //!

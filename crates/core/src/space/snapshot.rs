@@ -1,5 +1,5 @@
-//! Persistent arenas: versioned, integrity-hashed snapshots of
-//! [`StateSpace`] and [`QuotientSpace`].
+//! Persistent arenas: versioned, integrity-hashed snapshots of an
+//! [`Arena`] under either canonicalization strategy.
 //!
 //! # Wire format
 //!
@@ -31,8 +31,11 @@
 //!    the `u32` edge count and the edge ids as `u32`.
 //! 4. **Fingerprints** — the `u64` raw-successor-list fingerprint of every
 //!    state (0 for uncached rows).
-//! 5. **Quotient only** — each state's `u64` orbit size, then one
-//!    witnessing permutation per edge (`u8` degree + degree image bytes).
+//! 5. **Strategy sections** ([`Canonicalization::encode_extra`]) — none
+//!    under [`Identity`](super::Identity) (`kind` `state`); under
+//!    [`OrbitMin`](super::OrbitMin) (`kind` `quotient`) each state's `u64`
+//!    orbit size, then one witnessing permutation per edge (`u8` degree +
+//!    degree image bytes).
 //!
 //! # Integrity
 //!
@@ -57,7 +60,10 @@ use std::collections::BTreeMap;
 use std::hash::Hash;
 
 use super::pack::{StatePacker, SPILL_TAG};
-use super::{QuotientSpace, ShardedIndex, Slot, StateId, StateSpace, Store, SuccRange};
+use super::{
+    Arena, Canonicalization, QuotientSpace, ShardedIndex, Slot, StateId, StateSpace, Store,
+    SuccRange,
+};
 use crate::hash::{is_hash, sha256_hex};
 use crate::sym::{PidPerm, Symmetric};
 use crate::telemetry::json::Json;
@@ -364,7 +370,7 @@ impl<A: SnapshotState, B: SnapshotState> SnapshotState for (A, B) {
 }
 
 /// Encodes a witnessing permutation: `u8` degree then the image bytes.
-fn encode_perm(perm: &PidPerm, out: &mut Vec<u8>) {
+pub(super) fn encode_perm(perm: &PidPerm, out: &mut Vec<u8>) {
     let n = perm.degree();
     out.push(n as u8);
     for i in 0..n {
@@ -374,7 +380,7 @@ fn encode_perm(perm: &PidPerm, out: &mut Vec<u8>) {
 
 /// Decodes a witnessing permutation, validating it maps `0..n` bijectively
 /// (so the [`PidPerm::from_map`] assertion can never fire on wire input).
-fn decode_perm(r: &mut SnapshotReader<'_>, n: u64) -> Result<PidPerm, SnapshotError> {
+pub(super) fn decode_perm(r: &mut SnapshotReader<'_>, n: u64) -> Result<PidPerm, SnapshotError> {
     let degree = r.u8()? as u64;
     if degree != n {
         return Err(SnapshotError::Malformed("permutation degree is not n"));
@@ -603,13 +609,16 @@ fn encode_csr(succ: &[Option<SuccRange>], edges: &[StateId], out: &mut Vec<u8>) 
     }
 }
 
-/// Decodes the CSR sections, validating every range and edge id.
+/// Decodes the CSR sections, validating every range and edge id. Counts
+/// come from the header, so every reservation is capped at what the
+/// remaining bytes can hold — a forged count yields `Truncated`, never an
+/// allocation failure.
 fn decode_csr(
     r: &mut SnapshotReader<'_>,
     states: usize,
     edge_count: u64,
 ) -> Result<(Vec<Option<SuccRange>>, Vec<StateId>), SnapshotError> {
-    let mut succ = Vec::with_capacity(states);
+    let mut succ = Vec::with_capacity(states.min(r.remaining()));
     for _ in 0..states {
         succ.push(match r.u8()? {
             0 => None,
@@ -627,7 +636,7 @@ fn decode_csr(
     if u64::from(r.u32()?) != edge_count {
         return Err(SnapshotError::Malformed("edge count disagrees with header"));
     }
-    let mut edges = Vec::with_capacity(edge_count as usize);
+    let mut edges = Vec::with_capacity((edge_count as usize).min(r.remaining() / 4));
     for _ in 0..edge_count {
         let e = r.u32()? as usize;
         if e >= states {
@@ -715,7 +724,9 @@ where
 /// and bucketed in id order, exactly the interning order — rejecting
 /// duplicate states (two ids for one state would break the hash-consing
 /// invariant).
-fn rebuild_index<S: Clone + Eq + Hash>(store: &Store<S>) -> Result<ShardedIndex<S>, SnapshotError> {
+fn rebuild_index<S: Clone + Eq + Hash, O: Copy>(
+    store: &Store<S>,
+) -> Result<ShardedIndex<S, O>, SnapshotError> {
     let mut index = ShardedIndex::new();
     for i in 0..store.len() {
         if !index.insert_slot(store, i) {
@@ -773,8 +784,104 @@ fn measured_load<T>(
     Ok(out)
 }
 
-/// Serializes a [`StateSpace`] under the given provenance. Returns the
-/// snapshot bytes and their integrity hash (the header's `sha256`).
+/// Serializes an [`Arena`] under the given provenance: the shared state,
+/// index, CSR and fingerprint sections plus the strategy's own, under the
+/// strategy's header `kind`. Returns the snapshot bytes and their integrity
+/// hash (the header's `sha256`).
+pub fn save_arena<M, C>(
+    space: &Arena<M, C>,
+    meta: &ArenaMeta,
+    obs: &dyn Observer,
+) -> (Vec<u8>, String)
+where
+    M: LayeredModel,
+    M::State: SnapshotState,
+    C: Canonicalization<M>,
+{
+    measured_save(obs, || {
+        let mut body = Vec::new();
+        encode_store(&space.store, &mut body);
+        encode_index(&space.index.bucket_snapshot(), &mut body);
+        encode_csr(&space.succ, &space.edges, &mut body);
+        for fp in &space.succ_fp {
+            fp.encode(&mut body);
+        }
+        C::encode_extra(space, &mut body);
+        let fields = header_fields(
+            C::KIND,
+            meta,
+            space.store.is_packed(),
+            space.store.len() as u64,
+            space.edges.len() as u64,
+            body.len() as u64,
+        );
+        seal(fields, body)
+    })
+}
+
+/// Deserializes an [`Arena`] snapshot for `model`, verifying the integrity
+/// hash and every structural invariant before the arena is handed back.
+/// The store mode follows the blob's `packed` flag, so the model is only
+/// consulted for its [`StatePacker`] when the blob needs one. Returns the
+/// arena, its recorded provenance, and the integrity hash.
+///
+/// The header `kind` must be the strategy's; under
+/// [`OrbitMin`](super::OrbitMin) the recorded `n` must also match `model`
+/// (every witness permutation would be nonsense otherwise) and each
+/// permutation must have degree `n` and actually be a permutation.
+///
+/// # Errors
+///
+/// A [`SnapshotError`] for any defect; loading never panics or aborts on
+/// malformed bytes.
+///
+/// # Panics
+///
+/// Panics if the strategy rejects `model`, exactly as [`Arena::new`] would.
+pub fn load_arena<M, C>(
+    model: &M,
+    bytes: &[u8],
+    obs: &dyn Observer,
+) -> Result<(Arena<M, C>, ArenaMeta, String), SnapshotError>
+where
+    M: LayeredModel,
+    M::State: SnapshotState,
+    C: Canonicalization<M>,
+{
+    C::check_model(model);
+    measured_load(obs, || {
+        let h = open(bytes, C::KIND)?;
+        C::check_meta(model, &h.meta)?;
+        let count = usize::try_from(h.states).map_err(|_| SnapshotError::Malformed("states"))?;
+        let mut r = SnapshotReader::new(h.body);
+        let store = decode_store(&mut r, count, h.packed, model.state_packer())?;
+        let index = rebuild_index(&store)?;
+        check_index(&mut r, &index.bucket_snapshot())?;
+        let (succ, edges) = decode_csr(&mut r, count, h.edges)?;
+        let mut succ_fp = Vec::with_capacity(count.min(r.remaining() / 8));
+        for _ in 0..count {
+            succ_fp.push(r.u64()?);
+        }
+        let (orbits, witnesses) = C::decode_extra(&mut r, count, edges.len(), &h.meta)?;
+        if r.remaining() != 0 {
+            return Err(SnapshotError::Malformed("trailing bytes"));
+        }
+        let space = Arena {
+            store,
+            index,
+            orbits,
+            succ,
+            edges,
+            witnesses,
+            succ_fp,
+            strategy: std::marker::PhantomData,
+        };
+        Ok((space, h.meta, h.digest))
+    })
+}
+
+/// [`save_arena`] for a [`StateSpace`] — a one-line wrapper kept for
+/// existing callers.
 pub fn save_space<M>(
     space: &StateSpace<M>,
     meta: &ArenaMeta,
@@ -784,32 +891,15 @@ where
     M: LayeredModel,
     M::State: SnapshotState,
 {
-    measured_save(obs, || {
-        let mut body = Vec::new();
-        encode_store(&space.store, &mut body);
-        encode_index(&space.index.bucket_snapshot(), &mut body);
-        encode_csr(&space.succ, &space.edges, &mut body);
-        for fp in &space.succ_fp {
-            fp.encode(&mut body);
-        }
-        let fields = header_fields(
-            "state",
-            meta,
-            space.store.is_packed(),
-            space.store.len() as u64,
-            space.edges.len() as u64,
-            body.len() as u64,
-        );
-        seal(fields, body)
-    })
+    save_arena(space, meta, obs)
 }
 
-/// Deserializes a [`StateSpace`] snapshot for `model`, verifying the
-/// integrity hash and every structural invariant before the arena is
-/// handed back. The store mode follows the blob's `packed` flag, so the
-/// model is only consulted for its [`StatePacker`] when the blob needs
-/// one. Returns the arena, its recorded provenance, and the integrity
-/// hash.
+/// [`load_arena`] for a [`StateSpace`] — a one-line wrapper kept for
+/// existing callers.
+///
+/// # Errors
+///
+/// As [`load_arena`].
 pub fn load_space<M>(
     model: &M,
     bytes: &[u8],
@@ -819,34 +909,11 @@ where
     M: LayeredModel,
     M::State: SnapshotState,
 {
-    measured_load(obs, || {
-        let h = open(bytes, "state")?;
-        let count = usize::try_from(h.states).map_err(|_| SnapshotError::Malformed("states"))?;
-        let mut r = SnapshotReader::new(h.body);
-        let store = decode_store(&mut r, count, h.packed, model.state_packer())?;
-        let index = rebuild_index(&store)?;
-        check_index(&mut r, &index.bucket_snapshot())?;
-        let (succ, edges) = decode_csr(&mut r, count, h.edges)?;
-        let mut succ_fp = Vec::with_capacity(count);
-        for _ in 0..count {
-            succ_fp.push(r.u64()?);
-        }
-        if r.remaining() != 0 {
-            return Err(SnapshotError::Malformed("trailing bytes"));
-        }
-        let space = StateSpace {
-            store,
-            index,
-            succ,
-            edges,
-            succ_fp,
-        };
-        Ok((space, h.meta, h.digest))
-    })
+    load_arena(model, bytes, obs)
 }
 
-/// Serializes a [`QuotientSpace`] under the given provenance — the state
-/// sections plus orbit sizes and the per-edge de-quotienting permutations.
+/// [`save_arena`] for a [`QuotientSpace`] — a one-line wrapper kept for the
+/// repository benchmark (`perfbench/`).
 pub fn save_quotient<M>(
     space: &QuotientSpace<M>,
     meta: &ArenaMeta,
@@ -856,43 +923,19 @@ where
     M: Symmetric,
     M::State: SnapshotState,
 {
-    measured_save(obs, || {
-        let mut body = Vec::new();
-        encode_store(&space.store, &mut body);
-        encode_index(&space.index.bucket_snapshot(), &mut body);
-        encode_csr(&space.succ, &space.edges, &mut body);
-        for fp in &space.succ_fp {
-            fp.encode(&mut body);
-        }
-        for orbit in &space.orbit_sizes {
-            orbit.encode(&mut body);
-        }
-        for perm in &space.edge_perms {
-            encode_perm(perm, &mut body);
-        }
-        let fields = header_fields(
-            "quotient",
-            meta,
-            space.store.is_packed(),
-            space.store.len() as u64,
-            space.edges.len() as u64,
-            body.len() as u64,
-        );
-        seal(fields, body)
-    })
+    save_arena(space, meta, obs)
 }
 
-/// Deserializes a [`QuotientSpace`] snapshot for `model`.
+/// [`load_arena`] for a [`QuotientSpace`] — a one-line wrapper kept for the
+/// repository benchmark (`perfbench/`).
 ///
-/// Beyond the [`load_space`] checks, the de-quotienting permutations must
-/// all have degree `n` and actually be permutations, and the recorded `n`
-/// must match `model` (resuming against a differently-sized model would
-/// make every witness permutation nonsense).
+/// # Errors
+///
+/// As [`load_arena`].
 ///
 /// # Panics
 ///
-/// Panics if `model`'s current layering is not equivariant — the same
-/// contract as [`QuotientSpace::new`].
+/// Panics if `model`'s current layering is not equivariant.
 pub fn load_quotient<M>(
     model: &M,
     bytes: &[u8],
@@ -902,52 +945,7 @@ where
     M: Symmetric,
     M::State: SnapshotState,
 {
-    assert!(
-        model.symmetric_layering(),
-        "QuotientSpace requires an equivariant layering \
-         (use the model's full/symmetric layering variant)"
-    );
-    measured_load(obs, || {
-        let h = open(bytes, "quotient")?;
-        if h.meta.n != model.num_processes() as u64 {
-            return Err(SnapshotError::Malformed("snapshot n does not match model"));
-        }
-        let count = usize::try_from(h.states).map_err(|_| SnapshotError::Malformed("states"))?;
-        let mut r = SnapshotReader::new(h.body);
-        let store = decode_store(&mut r, count, h.packed, model.state_packer())?;
-        let index = rebuild_index(&store)?;
-        check_index(&mut r, &index.bucket_snapshot())?;
-        let (succ, edges) = decode_csr(&mut r, count, h.edges)?;
-        let mut succ_fp = Vec::with_capacity(count);
-        for _ in 0..count {
-            succ_fp.push(r.u64()?);
-        }
-        let mut orbit_sizes = Vec::with_capacity(count);
-        for _ in 0..count {
-            let orbit = r.u64()?;
-            if orbit == 0 {
-                return Err(SnapshotError::Malformed("orbit size zero"));
-            }
-            orbit_sizes.push(orbit);
-        }
-        let mut edge_perms = Vec::with_capacity(edges.len());
-        for _ in 0..edges.len() {
-            edge_perms.push(decode_perm(&mut r, h.meta.n)?);
-        }
-        if r.remaining() != 0 {
-            return Err(SnapshotError::Malformed("trailing bytes"));
-        }
-        let space = QuotientSpace {
-            store,
-            orbit_sizes,
-            index,
-            succ,
-            edges,
-            edge_perms,
-            succ_fp,
-        };
-        Ok((space, h.meta, h.digest))
-    })
+    load_arena(model, bytes, obs)
 }
 
 #[cfg(test)]
@@ -970,7 +968,7 @@ mod tests {
     fn built_space() -> (CounterModel, StateSpace<CounterModel>) {
         let m = CounterModel::new(3, 4);
         let roots = m.initial_states();
-        let mut space = StateSpace::for_model(&m);
+        let mut space = StateSpace::new(&m);
         space.expand_layers(&m, &roots, 3, &NOOP);
         (m, space)
     }
@@ -1059,7 +1057,7 @@ mod tests {
     fn boxed_blob_loads_boxed_even_under_a_packing_model() {
         let m = CounterModel::new(3, 4);
         let roots = m.initial_states();
-        let mut space: StateSpace<CounterModel> = StateSpace::new();
+        let mut space: StateSpace<CounterModel> = StateSpace::new_boxed(&m);
         space.expand_layers(&m, &roots, 3, &NOOP);
         let (bytes, _) = save_space(&space, &meta(), &NOOP);
         let nl = bytes.iter().position(|&b| b == b'\n').expect("header line");

@@ -31,7 +31,7 @@ pub fn reachable_space<M: LayeredModel>(
     model: &M,
     horizon: usize,
 ) -> (StateSpace<M>, Vec<Vec<StateId>>) {
-    let mut space = StateSpace::for_model(model);
+    let mut space = StateSpace::new(model);
     let roots = model.initial_states();
     let levels = space.expand_layers(model, &roots, horizon, &NOOP);
     (space, levels)

@@ -10,9 +10,9 @@
 
 use crate::connectivity::valence_report;
 use crate::model::{ExecutionTrace, TraceError};
-use crate::space::{StateId, StateSpace};
+use crate::space::{Arena, Canonicalization, Identity, OrbitMin, StateId};
 use crate::sym::Symmetric;
-use crate::valence::{undecided_non_failed, QuotientSolver};
+use crate::valence::{undecided_non_failed, Solver};
 use crate::{LayeredModel, ValenceSolver};
 
 /// A packaged impossibility argument for one model + protocol instance.
@@ -74,9 +74,7 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> ImpossibilityWitness<S> 
     where
         M: LayeredModel<State = S>,
     {
-        let mut solver = ValenceSolver::new(model, horizon);
-        let interned = InternedWitness::build_with(&mut solver, steps)?;
-        Some(interned.materialize(solver.space()))
+        Self::build_over::<M, Identity>(model, horizon, steps)
     }
 
     /// Like [`build`](Self::build), but runs the Theorem 4.2 engine over
@@ -88,9 +86,9 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> ImpossibilityWitness<S> 
     /// The returned witness is indistinguishable from a full-space one: it
     /// passes the same [`verify`](Self::verify) (which replays layer
     /// transitions, bivalence, and undecided counts against the model from
-    /// scratch, with no knowledge of the quotient). The undecided counts
-    /// are recomputed on the de-quotiented states rather than copied from
-    /// the representatives.
+    /// scratch, with no knowledge of the quotient). Like
+    /// [`build`](Self::build), a one-line wrapper of the same generic
+    /// builder, kept for the repository benchmark (`perfbench/`).
     ///
     /// # Panics
     ///
@@ -101,24 +99,19 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> ImpossibilityWitness<S> 
     where
         M: Symmetric<State = S>,
     {
-        let mut solver = QuotientSolver::new(model, horizon);
-        let run = crate::layering::build_bivalent_run_quotient(&mut solver, steps);
-        if !run.reached_target() {
-            return None;
-        }
-        let states = solver
-            .space()
-            .dequotient_path(model, &run.chain)
-            .expect("quotient run chains follow cached edges");
-        let undecided = states
-            .iter()
-            .map(|x| undecided_non_failed(model, x).len())
-            .collect();
-        Some(ImpossibilityWitness {
-            chain: ExecutionTrace::new(states),
-            horizon,
-            undecided,
-        })
+        Self::build_over::<M, OrbitMin>(model, horizon, steps)
+    }
+
+    /// The Theorem 4.2 engine under strategy `C`, materialized into a
+    /// self-contained witness.
+    fn build_over<M, C>(model: &M, horizon: usize, steps: usize) -> Option<Self>
+    where
+        M: LayeredModel<State = S>,
+        C: Canonicalization<M>,
+    {
+        let mut solver: Solver<'_, M, C> = Solver::new(model, horizon);
+        let interned = InternedWitness::build_with(&mut solver, steps)?;
+        Some(interned.materialize(model, solver.space()))
     }
 
     /// Re-verifies every part of the witness from scratch.
@@ -196,8 +189,8 @@ pub struct InternedWitness {
 impl InternedWitness {
     /// Runs the Theorem 4.2 engine on `solver` for `steps` layers and
     /// packages the resulting id chain, or `None` if the run got stuck.
-    pub fn build_with<M: LayeredModel>(
-        solver: &mut ValenceSolver<'_, M>,
+    pub fn build_with<M: LayeredModel, C: Canonicalization<M>>(
+        solver: &mut Solver<'_, M, C>,
         steps: usize,
     ) -> Option<Self> {
         let outcome = crate::layering::build_bivalent_run_interned(solver, steps);
@@ -211,15 +204,27 @@ impl InternedWitness {
         })
     }
 
-    /// Clones the chain's states out of `space` into the state-typed,
-    /// self-contained witness that [`ImpossibilityWitness::verify`] checks.
+    /// Maps the chain out of `space` ([`Arena::resolve_path`]: the interned
+    /// states, or a de-quotiented execution over orbits) into the
+    /// state-typed, self-contained witness that
+    /// [`ImpossibilityWitness::verify`] checks. The undecided counts carry
+    /// over unchanged: they are invariant under process renaming.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain does not follow `space`'s cached edges (it
+    /// always does when built on the same arena).
     #[must_use]
-    pub fn materialize<M: LayeredModel>(
+    pub fn materialize<M: LayeredModel, C: Canonicalization<M>>(
         &self,
-        space: &StateSpace<M>,
+        model: &M,
+        space: &Arena<M, C>,
     ) -> ImpossibilityWitness<M::State> {
+        let states = space
+            .resolve_path(model, &self.chain)
+            .expect("witness chains follow cached edges");
         ImpossibilityWitness {
-            chain: ExecutionTrace::new(space.materialize(&self.chain)),
+            chain: ExecutionTrace::new(states),
             horizon: self.horizon,
             undecided: self.undecided.clone(),
         }

@@ -56,7 +56,7 @@ proptest! {
         let m = CounterModel::new(n, branch);
         let roots = m.initial_states();
 
-        let mut full = StateSpace::new();
+        let mut full = StateSpace::new_boxed(&m);
         let full_levels = full.expand_layers(&m, &roots, 2, &layered_core::NoopObserver);
 
         let mut quot = QuotientSpace::new(&m);

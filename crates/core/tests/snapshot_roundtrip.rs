@@ -5,6 +5,8 @@
 
 use proptest::prelude::*;
 
+use layered_core::hash::sha256_hex;
+use layered_core::telemetry::json::Json;
 use layered_core::telemetry::NOOP;
 use layered_core::testkit::CounterModel;
 use layered_core::{
@@ -33,7 +35,7 @@ fn built_state_space(
 ) -> (CounterModel, StateSpace<CounterModel>, Vec<Vec<StateId>>) {
     let m = CounterModel::new(n, branch);
     let roots = m.initial_states();
-    let mut space = StateSpace::for_model(&m);
+    let mut space = StateSpace::new(&m);
     let levels = space.expand_layers(&m, &roots, depth, &NOOP);
     (m, space, levels)
 }
@@ -73,7 +75,7 @@ proptest! {
         prop_assert_eq!(loaded.edge_count(), space.edge_count());
         for id in levels.iter().flatten().copied() {
             prop_assert_eq!(loaded.resolve(id), space.resolve(id));
-            prop_assert_eq!(loaded.get(&space.resolve(id)), Some(id));
+            prop_assert_eq!(loaded.get(&model, &space.resolve(id)), Some(id));
             prop_assert_eq!(loaded.cached_successors(id), space.cached_successors(id));
             prop_assert_eq!(
                 loaded.successor_fingerprint_of(id),
@@ -233,11 +235,71 @@ fn wrong_kind_is_rejected_both_ways() {
     }
 }
 
+/// Reseals `blob` with its edge count forged to `u32::MAX` in both the
+/// header and the CSR section, as a crafted snapshot would: the seal is
+/// self-declared, so the forgery passes the integrity check. `tail` is the
+/// number of body bytes after the edge array.
+fn forge_edge_count(blob: &[u8], tail: usize) -> Vec<u8> {
+    let nl = blob.iter().position(|&b| b == b'\n').expect("header line");
+    let header = std::str::from_utf8(&blob[..nl]).expect("UTF-8 header");
+    let Ok(Json::Object(fields)) = Json::parse(header) else {
+        panic!("header is a JSON object");
+    };
+    let edges = fields
+        .iter()
+        .find(|(k, _)| k == "edges")
+        .and_then(|(_, v)| v.as_u64())
+        .expect("edges field") as usize;
+    let mut body = blob[nl + 1..].to_vec();
+    let at = body.len() - tail - 4 * edges - 4;
+    body[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let mut fields: Vec<(String, Json)> = fields
+        .into_iter()
+        .filter(|(k, _)| k != "sha256")
+        .map(|(k, v)| match k.as_str() {
+            "edges" => (k, Json::from(u64::from(u32::MAX))),
+            _ => (k, v),
+        })
+        .collect();
+    let unsigned = Json::Object(fields.clone()).canonicalize().to_string();
+    let digest = sha256_hex(&[unsigned.as_bytes(), b"\n", &body].concat());
+    fields.push(("sha256".into(), Json::from(digest.as_str())));
+    let mut out = Json::Object(fields).canonicalize().to_string().into_bytes();
+    out.push(b'\n');
+    out.extend_from_slice(&body);
+    out
+}
+
+/// A resealed blob declaring `u32::MAX` edges is an `Err` for both
+/// strategies — never a multi-gigabyte reservation that aborts the
+/// process.
+#[test]
+fn forged_edge_counts_are_rejected_without_allocating() {
+    let (model, space, _) = built_state_space(3, 2, 2);
+    let (pristine, _) = save_space(&space, &meta(3, 2), &NOOP);
+    let forged = forge_edge_count(&pristine, 8 * space.len());
+    match load_space(&model, &forged, &NOOP) {
+        Err(SnapshotError::Truncated | SnapshotError::Malformed(_)) => {}
+        Err(other) => panic!("expected a body error, got {other:?}"),
+        Ok(_) => panic!("forged state snapshot loaded"),
+    }
+
+    let (model, qspace, _) = built_quotient_space(3, 2, 2);
+    let (pristine, _) = save_quotient(&qspace, &meta(3, 2), &NOOP);
+    let tail = 16 * qspace.len() + 4 * qspace.edge_count();
+    let forged = forge_edge_count(&pristine, tail);
+    match load_quotient(&model, &forged, &NOOP) {
+        Err(SnapshotError::Truncated | SnapshotError::Malformed(_)) => {}
+        Err(other) => panic!("expected a body error, got {other:?}"),
+        Ok(_) => panic!("forged quotient snapshot loaded"),
+    }
+}
+
 /// An empty arena (no states interned at all) still round-trips.
 #[test]
 fn empty_space_roundtrips() {
     let model = CounterModel::new(3, 2);
-    let space: StateSpace<CounterModel> = StateSpace::new();
+    let space: StateSpace<CounterModel> = StateSpace::new_boxed(&model);
     let m = meta(3, 0);
     let (bytes, _) = save_space(&space, &m, &NOOP);
     let (loaded, got_meta, _) = load_space(&model, &bytes, &NOOP).expect("empty blob loads");

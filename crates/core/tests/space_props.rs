@@ -30,15 +30,16 @@ proptest! {
     #[test]
     fn intern_round_trips_under_random_orders(picks in arb_picks()) {
         let states = pool();
-        let mut space: StateSpace<CounterModel> = StateSpace::new();
+        let m = CounterModel::new(3, 3);
+        let mut space: StateSpace<CounterModel> = StateSpace::new_boxed(&m);
         let mut first_id = std::collections::HashMap::new();
         for &k in &picks {
             let s = &states[k];
-            let id = space.intern(s);
+            let (id, ()) = space.intern(&m, s);
             prop_assert_eq!(&space.resolve(id), s);
             let prior = *first_id.entry(k).or_insert(id);
             prop_assert_eq!(prior, id, "double-intern must return the first id");
-            prop_assert_eq!(space.get(s), Some(id));
+            prop_assert_eq!(space.get(&m, s), Some(id));
         }
         // One arena slot per distinct state presented.
         prop_assert_eq!(space.len(), first_id.len());
@@ -63,9 +64,9 @@ proptest! {
     ) {
         let m = CounterModel::new(3, branch);
         let roots = m.initial_states();
-        let mut seq: StateSpace<CounterModel> = StateSpace::new();
+        let mut seq: StateSpace<CounterModel> = StateSpace::new_boxed(&m);
         let a = seq.expand_layers(&m, &roots, horizon, &NoopObserver);
-        let mut par: StateSpace<CounterModel> = StateSpace::new();
+        let mut par: StateSpace<CounterModel> = StateSpace::new_boxed(&m);
         let b = par.expand_layers_parallel(&m, &roots, horizon, threads, &NoopObserver);
         prop_assert_eq!(a, b);
         prop_assert_eq!(seq.len(), par.len());

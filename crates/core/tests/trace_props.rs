@@ -15,7 +15,7 @@ fn traced_parallel_expansion() -> Vec<SpanRecord> {
     let model = CounterModel::new(2, 8);
     let roots = [model.initial_state(&[Value::ZERO, Value::ZERO])];
     let tracer = TraceObserver::new();
-    let mut space: StateSpace<CounterModel> = StateSpace::new();
+    let mut space: StateSpace<CounterModel> = StateSpace::new_boxed(&model);
     space.expand_layers_parallel(&model, &roots, 3, 4, &tracer);
     tracer.spans()
 }

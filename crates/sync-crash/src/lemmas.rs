@@ -114,12 +114,12 @@ pub fn check_display_below_budget<P: SyncProtocol>(
     let n = model.num_processes();
     let t = model.resilience();
     let obs = NoopObserver;
-    let mut space: StateSpace<CrashModel<P>> = StateSpace::new();
+    let mut space: StateSpace<CrashModel<P>> = StateSpace::new_boxed(model);
     let mut seen = std::collections::HashSet::new();
     let mut frontier: Vec<StateId> = model
         .initial_states()
         .iter()
-        .map(|x| space.intern(x))
+        .map(|x| space.intern(model, x).0)
         .filter(|id| seen.insert(*id))
         .collect();
     for depth in 0..=depth_limit {

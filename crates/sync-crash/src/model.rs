@@ -504,6 +504,9 @@ mod tests {
         let m = model(3, 1, 2);
         assert_eq!(check_graded(&m, 2), None);
         assert_eq!(check_fault_independence(&m, 2), None);
+        // The equivariant layering the quotient runs on is graded and
+        // duplicate-free too (arenas rely on duplicate-free layers).
+        assert_eq!(check_graded(&m.with_layering(CrashLayering::Full), 2), None);
     }
 
     #[test]

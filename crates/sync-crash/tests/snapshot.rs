@@ -23,7 +23,7 @@ fn meta() -> ArenaMeta {
 fn interned_arena_roundtrips_at_n3() {
     let m = CrashModel::new(3, 1, FloodMin::new(2));
     let roots = m.initial_states();
-    let mut space: StateSpace<CrashModel<FloodMin>> = StateSpace::new();
+    let mut space: StateSpace<CrashModel<FloodMin>> = StateSpace::new_boxed(&m);
     let levels = space.expand_layers(&m, &roots, 2, &NOOP);
     let (bytes, digest) = save_space(&space, &meta(), &NOOP);
     let (loaded, got_meta, got_digest) =
@@ -48,7 +48,7 @@ fn interned_arena_roundtrips_at_n3() {
 fn tampered_blobs_are_rejected() {
     let m = CrashModel::new(3, 1, FloodMin::new(2));
     let roots = m.initial_states();
-    let mut space: StateSpace<CrashModel<FloodMin>> = StateSpace::new();
+    let mut space: StateSpace<CrashModel<FloodMin>> = StateSpace::new_boxed(&m);
     space.expand_layers(&m, &roots, 1, &NOOP);
     let (pristine, _) = save_space(&space, &meta(), &NOOP);
     for pos in (0..pristine.len()).step_by(13) {

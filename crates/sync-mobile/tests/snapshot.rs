@@ -31,7 +31,7 @@ fn meta(n: usize, horizon: usize, depth: usize, layering: &str) -> ArenaMeta {
 fn interned_arena_roundtrips_at_n3() {
     let m = MobileModel::new(3, FloodMin::new(3));
     let roots = m.initial_states();
-    let mut space: StateSpace<MobileModel<FloodMin>> = StateSpace::new();
+    let mut space: StateSpace<MobileModel<FloodMin>> = StateSpace::new_boxed(&m);
     let levels = space.expand_layers(&m, &roots, 2, &NOOP);
     let (bytes, _) = save_space(&space, &meta(3, 3, 2, "s1"), &NOOP);
     let (loaded, _, _) = load_space(&m, &bytes, &NOOP).expect("pristine blob loads");
