@@ -61,6 +61,6 @@ pub use synchronic::{MpSyncAction, MpSyncModel};
 /// Stable key identifying this model in certificate stores and query URLs.
 pub const MODEL_KEY: &str = "async-mp";
 
-/// Claims the certificate registry can compute and serve for this model:
+/// Claims the certificate registry can compute and verify for this model:
 /// the Theorem 4.2 impossibility witness (the FLP analogue under `S^per`).
 pub const CLAIM_KEYS: &[&str] = &["theorem_4_2"];

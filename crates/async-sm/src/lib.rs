@@ -49,6 +49,6 @@ pub use state::SmState;
 /// Stable key identifying this model in certificate stores and query URLs.
 pub const MODEL_KEY: &str = "async-sm";
 
-/// Claims the certificate registry can compute and serve for this model:
+/// Claims the certificate registry can compute and verify for this model:
 /// the Theorem 4.2 impossibility witness (Corollary 5.4, Loui–Abu-Amara).
 pub const CLAIM_KEYS: &[&str] = &["theorem_4_2"];

@@ -57,7 +57,7 @@
 //!   deduplicated by hash). In `--scan` mode that is the scan-verdict
 //!   certificate; in `--sim` mode the shrunk-schedule certificates of every
 //!   violating run; in the default mode one certificate per registry claim
-//!   at small n. Serve the directory with `cert-serve --store <dir>`.
+//!   at small n.
 
 use std::io::Write;
 
@@ -398,8 +398,8 @@ fn main() {
     }
     if let Some(path) = &opts.store_path {
         // One certificate per registry claim, at every computable size:
-        // the default mode leaves behind a store that answers the whole
-        // query surface cold.
+        // the default mode leaves behind a store that holds every
+        // computable claim.
         let mut certs = Vec::new();
         for &model in registry::MODEL_KEYS {
             let max_n = match opts.scope {

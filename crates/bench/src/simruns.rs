@@ -177,7 +177,7 @@ where
             &small,
         ) {
             Ok(cert) => {
-                // Re-verify through the same path the query server uses:
+                // Re-verify through the same path a stored read uses:
                 // replay class match, plus trace validation at enumerable
                 // sizes. A failure here is a harness bug and fails the
                 // batch.

@@ -2,7 +2,7 @@
 //!
 //! A [`Certificate`] wraps one proof artifact — an impossibility witness, a
 //! bivalent run, a violating schedule, or a scan verdict — together with
-//! the metadata that makes it queryable (model, `n`, layering, claim). Its
+//! the metadata that identifies it (model, `n`, layering, claim). Its
 //! canonical encoding is produced by `Json::canonicalize`, so equal
 //! certificates are byte-identical, and its address is the SHA-256 of
 //! exactly those bytes ([`Certificate::hash`]). The store persists the
@@ -58,7 +58,7 @@ impl CertKind {
     }
 }
 
-/// The query coordinates of a certificate: which claim, about which model
+/// The coordinates of a certificate: which claim, about which model
 /// instance, it certifies.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CertMeta {
@@ -100,10 +100,10 @@ impl std::fmt::Display for CertError {
 
 impl std::error::Error for CertError {}
 
-/// One stored/served proof artifact (see the [module docs](self)).
+/// One stored proof artifact (see the [module docs](self)).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Certificate {
-    /// Query coordinates.
+    /// Coordinates: model, `n`, layering, claim.
     pub meta: CertMeta,
     /// Artifact kind.
     pub kind: CertKind,
@@ -143,7 +143,7 @@ impl Certificate {
 
     /// The canonical encoding: the single-line rendering of
     /// [`to_json`](Self::to_json), no trailing newline. These are the exact
-    /// bytes the store persists and the server serves.
+    /// bytes the store persists.
     #[must_use]
     pub fn encode(&self) -> String {
         self.to_json().to_string()

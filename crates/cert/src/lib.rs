@@ -1,32 +1,27 @@
 //! # layered-cert
 //!
-//! A content-addressed **certificate store** and a dependency-free
-//! **witness query server** over the proof artifacts the layered-consensus
-//! engines produce.
+//! A content-addressed **certificate store** over the proof artifacts the
+//! layered-consensus engines produce.
 //!
 //! Every headline result in the workspace is backed by a concrete,
 //! re-checkable artifact: a Theorem 4.2 ever-bivalent chain, a Lemma 6.1
 //! bivalent `S^t`-run, a Lemma 5.1 layer-scan verdict, or a recorded
 //! violating schedule from the simulator. This crate makes those artifacts
-//! durable and queryable:
+//! durable and re-verifiable:
 //!
 //! * [`Certificate`] — one canonical-JSON wire object per artifact,
 //!   addressed by the SHA-256 of its exact bytes ([`cert`]);
-//! * [`CertStore`] — one file per address plus an append-only query index,
+//! * [`CertStore`] — one file per address plus an append-only index,
 //!   deduplicating by content and re-hashing on every read ([`store`]);
 //! * [`registry`] — computes certificates from scratch for the claims the
 //!   engines can decide, and re-verifies every certificate (replay always,
-//!   full semantic tier at small `n`);
-//! * [`CertServer`] — an HTTP/1.1 `GET` server (`/cert/<hash>`, `/query`,
-//!   `/healthz`, `/metrics`) that verifies before serving and
-//!   computes-and-caches on a query miss ([`server`]).
+//!   full semantic tier at small `n`).
 //!
 //! The flow end to end: the experiment harness runs with `--store <dir>`
-//! and persists what it proves; `cert-serve --store <dir>` then answers
-//! queries at memory-index speed, with a cold miss falling back to the
-//! engine for small instances. Telemetry rides the `layered-core` observer
-//! bus under the `cert.store.*`, `cert.verify.*`, and `cert.server.*`
-//! names.
+//! and persists what it proves; reading a certificate back re-hashes its
+//! bytes, and [`registry::verify`] re-checks it against the model.
+//! Telemetry rides the `layered-core` observer bus under the
+//! `cert.store.*` and `cert.verify.*` names.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -34,11 +29,9 @@
 pub mod cert;
 pub mod hash;
 pub mod registry;
-pub mod server;
 pub mod store;
 
 pub use cert::{CertError, CertKind, CertMeta, Certificate, WIRE_VERSION};
 pub use hash::{is_hash, sha256, sha256_hex};
 pub use registry::RegistryError;
-pub use server::{CertServer, ServerConfig};
 pub use store::{CertStore, IndexEntry, StoreError};

@@ -1,6 +1,6 @@
 //! The claim registry: which certificates this crate can compute from
 //! scratch, and how every stored certificate is re-verified before it is
-//! served.
+//! trusted.
 //!
 //! # Computable claims
 //!
@@ -18,7 +18,7 @@
 //!
 //! # Verify-on-read policy
 //!
-//! Every certificate is re-verified before being served, in two tiers so
+//! Every certificate is re-verified after it is read back, in two tiers so
 //! warm reads stay cheap while small instances get the full semantic
 //! re-check:
 //!
@@ -31,7 +31,12 @@
 //!   claims: full [`ImpossibilityWitness::verify`] for witnesses
 //!   (bivalence, Lemma 3.1 counts, layer connectivity), per-state
 //!   bivalence for runs, and `ExecutionTrace::validate` for replayed
-//!   schedules.
+//!   schedules. A chain whose recorded horizon exceeds
+//!   [`FULL_VERIFY_MAX_HORIZON`] fails here rather than being explored.
+//!
+//! Before building a model, `n` (and a schedule's recorded `t`) is checked
+//! against the model constructor's precondition, so a forged size is a
+//! [`RegistryError::VerifyFailed`], never a panic.
 
 use layered_core::telemetry::json::Json;
 use layered_core::telemetry::Observer;
@@ -51,6 +56,19 @@ use crate::cert::{CertKind, CertMeta, Certificate};
 /// layer connectivity, `validate`) runs during verify-on-read; above it
 /// only the always-on replay tier runs.
 pub const FULL_VERIFY_MAX_N: usize = 3;
+
+/// Largest recorded horizon the full semantic tier explores to. The valence
+/// search recurses once per layer up to the horizon and its cost grows
+/// exponentially with it in the asynchronous models (async-mp at n = 3, release
+/// build on a 2-core VM: about 0.8 s at horizon 4, 16 s at horizon 8), so a
+/// certificate that asks for more at `n ≤ FULL_VERIFY_MAX_N` fails
+/// verification. The registry computes at horizon 2 and the default layer
+/// scan uses `depth + 1`.
+pub const FULL_VERIFY_MAX_HORIZON: usize = 4;
+
+/// The most processes any model can have: one per [`Pid`](layered_core::Pid)
+/// value.
+const MAX_N: usize = u8::MAX as usize + 1;
 
 /// The claim key under which recorded violating schedules are stored.
 pub const SIM_VIOLATION_CLAIM: &str = "sim_violation";
@@ -132,8 +150,8 @@ pub fn claims_for(model: &str) -> &'static [&'static str] {
 }
 
 /// The largest `n` the registry will compute a certificate at for `model`
-/// (the exhaustive engines are exponential in `n`; beyond this, serve only
-/// what the harness stored).
+/// (the exhaustive engines are exponential in `n`; beyond this, only the
+/// harness stores certificates).
 #[must_use]
 pub fn max_compute_n(model: &str) -> usize {
     match model {
@@ -291,6 +309,11 @@ fn verify_chain_body<M: LayeredModel>(
         }
     }
     if model.num_processes() <= FULL_VERIFY_MAX_N {
+        if witness.horizon > FULL_VERIFY_MAX_HORIZON {
+            return Err(RegistryError::VerifyFailed(
+                "horizon beyond FULL_VERIFY_MAX_HORIZON",
+            ));
+        }
         match kind {
             CertKind::Witness | CertKind::ScanVerdict => {
                 witness
@@ -416,8 +439,16 @@ pub fn verify(cert: &Certificate, obs: &dyn Observer) -> Result<(), RegistryErro
 
 fn verify_inner(cert: &Certificate) -> Result<(), RegistryError> {
     let n = cert.meta.n;
-    if layering_key(&cert.meta.model).is_none() {
-        return Err(RegistryError::UnknownModel);
+    // The model constructors assert their size preconditions, and no model
+    // has more processes than a `Pid` can name; a forged `n` must fail here
+    // instead.
+    let min_n = match cert.meta.model.as_str() {
+        "sync-crash" => 3,
+        model if layering_key(model).is_some() => 2,
+        _ => return Err(RegistryError::UnknownModel),
+    };
+    if !(min_n..=MAX_N).contains(&n) {
+        return Err(RegistryError::VerifyFailed("n outside the model's range"));
     }
     match (cert.meta.model.as_str(), cert.kind) {
         ("sync-mobile", CertKind::Schedule) => {
@@ -427,12 +458,14 @@ fn verify_inner(cert: &Certificate) -> Result<(), RegistryError> {
         }
         ("sync-crash", CertKind::Schedule) => {
             let deadline = schedule_deadline(&cert.body)?;
-            let t = cert
-                .body
-                .get("t")
-                .and_then(Json::as_u64)
-                .and_then(|t| usize::try_from(t).ok())
-                .unwrap_or_else(|| crash_resilience(n));
+            let t = match cert.body.get("t") {
+                None => crash_resilience(n),
+                Some(t) => t
+                    .as_u64()
+                    .and_then(|t| usize::try_from(t).ok())
+                    .filter(|t| (1..=n - 2).contains(t))
+                    .ok_or(RegistryError::VerifyFailed("t outside 1..=n-2"))?,
+            };
             let m = CrashModel::new(n, t, FloodMin::new(deadline));
             verify_schedule(&m, &cert.body)
         }

@@ -7,7 +7,7 @@
 //!                                      bytes are exactly the canonical
 //!                                      encoding, and <hash> is their
 //!                                      SHA-256 (<hh> = first two hex chars)
-//! <root>/v1/index.jsonl                append-only query index: one
+//! <root>/v1/index.jsonl                append-only index: one
 //!                                      canonical JSON line per stored
 //!                                      certificate (model, n, layering,
 //!                                      claim, kind, hash)
@@ -17,8 +17,8 @@
 //! present is a no-op on the object tree. Reads re-hash the file bytes
 //! against the address before parsing, so on-disk corruption surfaces as
 //! [`StoreError::Corrupt`] instead of a wrong answer. The index is
-//! rebuildable from the object tree; it exists so queries don't have to
-//! crawl and parse every object.
+//! rebuildable from the object tree; it exists so listing the store
+//! ([`CertStore::entries`]) doesn't have to crawl and parse every object.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -29,7 +29,7 @@ use layered_core::telemetry::Observer;
 use crate::cert::{CertError, Certificate};
 use crate::hash::{is_hash, sha256_hex};
 
-/// One line of the query index.
+/// One line of the index.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IndexEntry {
     /// Model registry key.
@@ -241,19 +241,6 @@ impl CertStore {
         })?;
         obs.counter("cert.store.hits", 1);
         Ok(Some(cert))
-    }
-
-    /// The most recent index entry matching `(model, n, claim)`, if any.
-    ///
-    /// The miss is *not* counted here — a query miss that falls through to
-    /// compute-and-cache is counted by the [`get`](Self::get)/`put` pair
-    /// the caller drives.
-    #[must_use]
-    pub fn query(&self, model: &str, n: usize, claim: &str) -> Option<&IndexEntry> {
-        self.index
-            .iter()
-            .rev()
-            .find(|e| e.model == model && e.n == n && e.claim == claim)
     }
 
     /// All index entries, in append order.

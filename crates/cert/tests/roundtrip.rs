@@ -133,9 +133,11 @@ fn puts_dedup_and_index_survives_reopen() {
     assert_eq!(obs.snapshot().counter("cert.store.puts"), 1);
     let store = CertStore::open(&dir).expect("store reopens");
     assert_eq!(store.len(), 1);
-    let entry = store
-        .query("sync-mobile", 3, "theorem_4_2")
-        .expect("reloaded index answers");
+    let entry = &store.entries()[0];
+    assert_eq!(
+        (entry.model.as_str(), entry.n, entry.claim.as_str()),
+        ("sync-mobile", 3, "theorem_4_2")
+    );
     assert_eq!(entry.hash, hash);
     let _ = std::fs::remove_dir_all(&dir);
 }

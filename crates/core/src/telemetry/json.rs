@@ -8,9 +8,18 @@
 //! Numbers are stored as `f64`, which is exact for the integer counters this
 //! crate produces up to 2⁵³ — far beyond any state count an exhaustive
 //! enumeration reaches.
+//!
+//! The parser reads untrusted bytes (stored certificates and their index),
+//! so nesting is capped at [`MAX_DEPTH`]: a deeper document is a
+//! [`ParseError`], not a stack overflow.
 
 use std::fmt;
 use std::ops::Index;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// document the workspace itself writes is the lint SARIF export, at 9
+/// levels (certificates reach 6, `--json` records 5).
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Object member order is preserved.
 #[derive(Clone, Debug, PartialEq)]
@@ -167,11 +176,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] with the byte offset of the first problem.
+    /// Returns a [`ParseError`] with the byte offset of the first problem,
+    /// including arrays/objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(ParseError {
@@ -281,15 +291,20 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8, message: &'static str) -> Result
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// Parses one value nested inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(ParseError {
             offset: *pos,
             message: "unexpected end of input",
         }),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(ParseError {
+            offset: *pos,
+            message: "nesting deeper than MAX_DEPTH",
+        }),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, b"true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, b"false", Json::Bool(false)),
@@ -406,7 +421,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     expect(bytes, pos, b'[', "expected '['")?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -415,7 +430,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => {
@@ -435,7 +450,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     expect(bytes, pos, b'{', "expected '{'")?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -448,7 +463,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':', "expected ':'")?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -530,6 +545,33 @@ mod tests {
         assert!(Json::parse("tru").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_at_the_cap_parses() {
+        let mut value = Json::parse(&nested_arrays(MAX_DEPTH)).expect("at the cap");
+        let mut levels = 0;
+        while let Json::Array(mut items) = value {
+            levels += 1;
+            value = items.pop().unwrap_or(Json::Null);
+        }
+        assert_eq!(levels, MAX_DEPTH);
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_an_overflow() {
+        let err = Json::parse(&nested_arrays(MAX_DEPTH + 1)).expect_err("one past the cap");
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Far past it: without the cap this overflows the stack and aborts.
+        assert!(Json::parse(&nested_arrays(100_000)).is_err());
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(Json::parse(&objects).is_err());
     }
 
     #[test]

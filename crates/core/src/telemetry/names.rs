@@ -53,7 +53,6 @@
 //!
 //! | histogram | units |
 //! |---|---|
-//! | `cert.server.request_ns` | nanoseconds per served request (timing; stripped) |
 //! | `sim.fault_to_violation_layers` | layers from first injected fault to violation |
 //! | `sim.run_layers` | layers executed per simulated run |
 //! | `space.intern.probe_len` | hash-bucket candidates compared per intern |
@@ -67,10 +66,6 @@
 /// used as two kinds at once.
 pub const NAMES: &[&str] = &[
     "census.decided_states",
-    "cert.server.computed",
-    "cert.server.errors",
-    "cert.server.request_ns",
-    "cert.server.requests",
     "cert.store.hits",
     "cert.store.misses",
     "cert.store.puts",

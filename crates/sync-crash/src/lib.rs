@@ -48,7 +48,7 @@ pub use state::CrashState;
 /// Stable key identifying this model in certificate stores and query URLs.
 pub const MODEL_KEY: &str = "sync-crash";
 
-/// Claims the certificate registry can compute and serve for this model:
+/// Claims the certificate registry can compute and verify for this model:
 /// the Lemma 6.1 bivalent `S^t`-execution (consensus is solvable here, so
 /// no impossibility witness exists — the lower-bound chain is the
 /// artifact).

@@ -45,7 +45,7 @@ pub use state::MobileState;
 /// Stable key identifying this model in certificate stores and query URLs.
 pub const MODEL_KEY: &str = "sync-mobile";
 
-/// Claims the certificate registry can compute and serve for this model:
+/// Claims the certificate registry can compute and verify for this model:
 /// the Lemma 5.1 layer-scan verdict (with its embedded ever-bivalent
 /// witness) and the Theorem 4.2 impossibility witness.
 pub const CLAIM_KEYS: &[&str] = &["lemma_5_1", "theorem_4_2"];
