@@ -9,6 +9,7 @@
 //! disk and the index to go on.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use layered_cert::{registry, CertStore, Certificate};
 use layered_core::report::{yes_no, Table};
@@ -16,11 +17,17 @@ use layered_core::telemetry::Observer;
 
 use crate::{Experiment, Scope};
 
-/// Store directory under the system temp dir; pid-scoped so concurrently
-/// running test binaries cannot collide. Wiped before and after the run so
-/// repeated invocations in one process see identical fresh-put behaviour.
+/// Store directory under the system temp dir, scoped to the process and
+/// the run, so neither concurrent test binaries nor concurrent runs in one
+/// process (test threads) wipe each other's store. Wiped before and after
+/// the run so repeated invocations see identical fresh-put behaviour.
 fn store_dir() -> PathBuf {
-    std::env::temp_dir().join(format!("layered-bench-certstore-{}", std::process::id()))
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "layered-bench-certstore-{}-{run}",
+        std::process::id()
+    ))
 }
 
 /// One round trip: compute, persist, then (against the reopened store)

@@ -4,7 +4,7 @@
 
 use layered_async_mp::MpModel;
 use layered_core::report::{yes_no, Table};
-use layered_core::{LayeredModel, Value};
+use layered_core::{explore_with, LayeredModel};
 use layered_protocols::{MpCollectMin, MpFloodMin, MpIdentity};
 use layered_sync_crash::CrashModel;
 use layered_sync_mobile::MobileModel;
@@ -279,43 +279,21 @@ pub fn covering_sanity(_scope: Scope) -> Experiment {
                 "Covering sanity — decided outputs of FloodMin(t+1) are covered",
                 &["n", "t", "terminal simplexes", "covered"],
             );
-            let mut ok = true;
             let m = CrashModel::new(3, 1, layered_protocols::FloodMin::new(2));
             let cov = Covering::consensus(3);
-            let mut outputs = Vec::new();
-            let mut frontier = m.initial_states();
-            for _ in 0..2 {
-                obs.gauge("engine.frontier_width", frontier.len() as u64);
-                let mut next = Vec::new();
-                for x in &frontier {
-                    obs.counter("engine.states_visited", 1);
-                    next.extend(m.successors(x));
-                }
-                let mut seen = std::collections::HashSet::new();
-                frontier = next
-                    .into_iter()
-                    .filter(|s| {
-                        let fresh = seen.insert(s.clone());
-                        if !fresh {
-                            obs.counter("engine.dedup_hits", 1);
-                        }
-                        fresh
-                    })
-                    .collect();
-            }
-            for x in &frontier {
-                outputs.push(layered_topology::decided_simplex(&m, x));
-            }
+            let outputs: Vec<_> = explore_with(&m, &m.initial_states(), 2, obs)
+                .frontier()
+                .iter()
+                .map(|x| layered_topology::decided_simplex(&m, x))
+                .collect();
             let covered = cov.is_covering_of(&outputs);
-            ok &= covered;
             table.row_owned(vec![
                 "3".into(),
                 "1".into(),
                 outputs.len().to_string(),
                 yes_no(covered).into(),
             ]);
-            let _ = Value::ZERO;
-            (table, ok)
+            (table, covered)
         },
     )
 }

@@ -4,7 +4,9 @@
 
 use layered_async_mp::{permutations, MpModel};
 use layered_async_sm::{layer_action_is_legal_schedule, SmModel};
+use layered_core::checker::find_in_levels;
 use layered_core::report::{yes_no, Table};
+use layered_core::telemetry::NOOP;
 use layered_core::{
     build_bivalent_run, check_consensus_with, check_crash_display, check_fault_independence,
     check_graded, similarity_report_with, valence_report, LayeredModel, Pid, ValenceSolver, Value,
@@ -56,17 +58,13 @@ pub fn mobile(scope: Scope) -> Experiment {
                 let m = MobileModel::new(3, FloodMin::new(r));
                 // Similarity connectivity of every layer on the explored region.
                 let mut sim_ok = true;
-                let mut frontier = m.initial_states();
-                for _ in 0..r.min(2) {
-                    let mut next = Vec::new();
-                    for x in &frontier {
-                        let layer = m.s1_layer(x);
-                        sim_ok &= similarity_report_with(&m, &layer, obs).connected;
-                        next.extend(layer);
-                    }
-                    frontier = next;
-                    frontier.dedup();
-                }
+                let _: Option<()> =
+                    find_in_levels(&m, usize::from(r.min(2)), &NOOP, |_, _, layers| {
+                        for layer in layers {
+                            sim_ok &= similarity_report_with(&m, layer, obs).connected;
+                        }
+                        None
+                    });
                 ok &= sim_ok;
                 let report = check_consensus_with(&m, usize::from(r), 1, obs);
                 let verdict = report.violations.first().map_or("PASSED (!)", |v| v.kind());

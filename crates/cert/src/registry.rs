@@ -36,7 +36,8 @@
 //!
 //! Before building a model, `n` (and a schedule's recorded `t`) is checked
 //! against the model constructor's precondition, so a forged size is a
-//! [`RegistryError::VerifyFailed`], never a panic.
+//! [`RegistryError::VerifyFailed`], never a panic; a chain above its
+//! model's [`replay_max_n`] fails before any replay.
 
 use layered_core::telemetry::json::Json;
 use layered_core::telemetry::Observer;
@@ -69,6 +70,22 @@ pub const FULL_VERIFY_MAX_HORIZON: usize = 4;
 /// The most processes any model can have: one per [`Pid`](layered_core::Pid)
 /// value.
 const MAX_N: usize = u8::MAX as usize + 1;
+
+/// The largest `n` at which [`verify`] replays a chain (`witness`, `run` or
+/// `scan_verdict`) of `model`: replay computes one whole layer per path
+/// step. The bound is 5 for async-mp (`S^per` layers hold `n!` schedules)
+/// and 8 for the other models and layerings: sync-mobile `s1` and `full`
+/// (`full` layers hold `n·2ⁿ` actions), sync-crash `s_t`, async-sm `s_rw`.
+/// At the bound one layer takes at most about 20 ms (release build, 2-core
+/// VM; `full` takes 0.13 s at n = 10, `S^per` 0.12 s at n = 6). The repo
+/// writes chains up to n = 6 (`--store` scan verdicts).
+#[must_use]
+pub fn replay_max_n(model: &str) -> usize {
+    match model {
+        "async-mp" => 5,
+        _ => 8,
+    }
+}
 
 /// The claim key under which recorded violating schedules are stored.
 pub const SIM_VIOLATION_CLAIM: &str = "sim_violation";
@@ -449,6 +466,11 @@ fn verify_inner(cert: &Certificate) -> Result<(), RegistryError> {
     };
     if !(min_n..=MAX_N).contains(&n) {
         return Err(RegistryError::VerifyFailed("n outside the model's range"));
+    }
+    if cert.kind != CertKind::Schedule && n > replay_max_n(&cert.meta.model) {
+        return Err(RegistryError::VerifyFailed(
+            "n above the chain replay bound",
+        ));
     }
     match (cert.meta.model.as_str(), cert.kind) {
         ("sync-mobile", CertKind::Schedule) => {

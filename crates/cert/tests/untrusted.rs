@@ -128,6 +128,51 @@ fn forged_horizon_is_an_err() {
     }
 }
 
+/// Sets every chain's `inputs` in `json` (top level, or nested under a
+/// scan verdict's `witness`) to `n` zeros.
+fn set_inputs(json: &mut Json, n: usize) {
+    if let Json::Object(members) = json {
+        for (key, value) in members.iter_mut() {
+            match key.as_str() {
+                "inputs" => *value = Json::Array(vec![Json::from(0u64); n]),
+                "witness" => set_inputs(value, n),
+                _ => {}
+            }
+        }
+    }
+}
+
+/// A chain forged to just above its model's replay bound, with a matching
+/// `inputs` array, under each model and mobile layering. Replaying it
+/// would enumerate layers of size `n·2ⁿ` (mobile `full`) or `n!`
+/// (async-mp) before the fingerprints could fail, so it must fail on the
+/// bound itself, before any replay.
+#[test]
+fn forged_large_n_chains_fail_before_replay() {
+    let cases = [
+        ("sync-mobile", "theorem_4_2", 2, "s1"),
+        ("sync-mobile", "lemma_5_1", 2, "full"),
+        ("sync-crash", "lemma_6_1", 3, "s_t"),
+        ("async-sm", "theorem_4_2", 2, "s_rw"),
+        ("async-mp", "theorem_4_2", 2, "s_per"),
+    ];
+    for (model, claim, n, layering) in cases {
+        let mut cert = registry::compute(model, n, claim, &NoopObserver).expect("computes");
+        cert.meta.layering = layering.to_string();
+        let big = registry::replay_max_n(model) + 1;
+        cert.meta.n = big;
+        set_inputs(&mut cert.body, big);
+        let forged = Certificate::decode(cert.encode().as_bytes()).expect("decodes");
+        assert_eq!(
+            registry::verify(&forged, &NoopObserver),
+            Err(RegistryError::VerifyFailed(
+                "n above the chain replay bound"
+            )),
+            "{model}/{layering} at n = {big}"
+        );
+    }
+}
+
 /// `CertStore::open` skips unparsable index lines — here garbage and
 /// nesting past `MAX_DEPTH` — and keeps the genuine entry.
 #[test]

@@ -15,9 +15,10 @@
 //! * [`check_graded`] validates the state-graph contract every model must
 //!   satisfy (see [`crate::model`]).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 
-use crate::space::{StateId, StateSpace};
+use crate::space::{sweep, StateSpace};
 use crate::telemetry::{Observer, Span, NOOP};
 use crate::{LayeredModel, Pid, Value};
 
@@ -148,71 +149,71 @@ pub fn check_consensus_with<M: LayeredModel>(
     obs: &dyn Observer,
 ) -> ConsensusReport<M::State> {
     let _span = Span::enter(obs, "checker.sweep");
-    let mut report = ConsensusReport {
-        states_explored: 0,
+    let roots = model.initial_states();
+    let (states_explored, violations) =
+        check_requirements(model, &roots, horizon, max_violations, obs, |x, due| {
+            let mut found = state_violations(model, x);
+            found.extend(due.map(|undecided| Violation::Decision {
+                state: x.clone(),
+                undecided,
+            }));
+            found
+        });
+    ConsensusReport {
+        states_explored,
         horizon,
-        violations: Vec::new(),
-    };
-    let mut space: StateSpace<M> = StateSpace::new_boxed(model);
-    let mut frontier: Vec<StateId> = Vec::new();
-    {
-        let mut seen: HashSet<StateId> = HashSet::new();
-        for x in model.initial_states() {
-            let (id, ()) = space.intern_with(model, &x, obs);
-            if seen.insert(id) {
-                frontier.push(id);
-            }
-        }
+        violations,
     }
-    for depth in 0..=horizon {
-        obs.gauge("engine.frontier_width", frontier.len() as u64);
-        let mut next: Vec<StateId> = Vec::new();
-        let mut seen: HashSet<StateId> = HashSet::new();
-        for &id in &frontier {
-            report.states_explored += 1;
+}
+
+/// The sweep behind [`check_consensus`] and `layered-topology`'s task
+/// checker: collects `violations_at(x, due)` over every state within
+/// `horizon` layers of `roots`, where `due` lists a horizon state's
+/// obligated processes that have not decided (`None` if there are none or
+/// `x` is above the horizon), until `max_violations` are found. Returns the
+/// number of states visited and the violations.
+pub fn check_requirements<M: LayeredModel, V>(
+    model: &M,
+    roots: &[M::State],
+    horizon: usize,
+    max_violations: usize,
+    obs: &dyn Observer,
+    mut violations_at: impl FnMut(&M::State, Option<Vec<Pid>>) -> Vec<V>,
+) -> (usize, Vec<V>) {
+    let mut space: StateSpace<M> = StateSpace::new_boxed(model);
+    let root_ids = space.intern_all(model, roots, obs);
+    let mut explored = 0;
+    let mut violations = Vec::new();
+    let _ = sweep(root_ids, obs, |depth, level, next| {
+        for &id in level {
+            explored += 1;
             obs.counter("engine.states_visited", 1);
-            {
-                let x = space.resolve(id);
-                for v in state_violations(model, &x) {
-                    if report.violations.len() < max_violations {
-                        obs.counter("checker.violations", 1);
-                        report.violations.push(v);
-                    }
-                }
-                if depth == horizon {
-                    let undecided: Vec<Pid> = model
+            let x = space.resolve(id);
+            let due = (depth == horizon)
+                .then(|| {
+                    model
                         .obligated(&x)
                         .into_iter()
                         .filter(|&i| model.decision(&x, i).is_none())
-                        .collect();
-                    if !undecided.is_empty() && report.violations.len() < max_violations {
-                        obs.counter("checker.violations", 1);
-                        report.violations.push(Violation::Decision {
-                            state: x,
-                            undecided,
-                        });
-                    }
+                        .collect::<Vec<Pid>>()
+                })
+                .filter(|u| !u.is_empty());
+            for v in violations_at(&x, due) {
+                if violations.len() < max_violations {
+                    obs.counter("checker.violations", 1);
+                    violations.push(v);
                 }
             }
             if depth < horizon {
-                for y in space.successor_ids(model, id, obs) {
-                    if seen.insert(y) {
-                        next.push(y);
-                    } else {
-                        obs.counter("engine.dedup_hits", 1);
-                    }
-                }
+                next.extend(space.successor_ids(model, id, obs));
             }
-            if report.violations.len() >= max_violations {
-                return report;
+            if violations.len() >= max_violations {
+                return ControlFlow::Break(());
             }
         }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    report
+        ControlFlow::Continue(())
+    });
+    (explored, violations)
 }
 
 /// Reconstructs an execution from an initial state to `target`, if `target`
@@ -226,44 +227,65 @@ pub fn trace_to<M: LayeredModel>(
     target: &M::State,
     max_depth: usize,
 ) -> Option<crate::ExecutionTrace<M::State>> {
-    use std::collections::HashMap;
-    let mut space: StateSpace<M> = StateSpace::new_boxed(model);
-    let mut parent: HashMap<StateId, Option<StateId>> = HashMap::new();
-    let mut frontier: Vec<StateId> = Vec::new();
-    for x in model.initial_states() {
-        let (id, ()) = space.intern(model, &x);
-        if parent.insert(id, None).is_none() {
-            frontier.push(id);
-        }
-    }
-    let is_found = |space: &StateSpace<M>, parent: &HashMap<StateId, Option<StateId>>| {
-        space
-            .get(model, target)
-            .filter(|id| parent.contains_key(id))
-    };
-    let mut found = is_found(&space, &parent);
-    let mut depth = 0;
-    while found.is_none() && depth < max_depth && !frontier.is_empty() {
-        let mut next = Vec::new();
-        for &id in &frontier {
-            for y in space.successor_ids(model, id, &NOOP) {
-                if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(y) {
-                    e.insert(Some(id));
-                    next.push(y);
-                }
+    // The first parent recorded is a breadth-first one; roots have none.
+    let mut parent: HashMap<M::State, M::State> = HashMap::new();
+    find_in_levels(model, max_depth, &NOOP, |_, level, layers| {
+        for (x, layer) in level.iter().zip(layers) {
+            for y in layer {
+                parent.entry(y.clone()).or_insert_with(|| x.clone());
             }
         }
-        frontier = next;
-        depth += 1;
-        found = is_found(&space, &parent);
+        level.contains(target).then_some(())
+    })?;
+    let mut states = vec![target.clone()];
+    while let Some(p) = parent.get(states.last().expect("non-empty")) {
+        states.push(p.clone());
     }
-    let target_id = found?;
-    let mut ids = vec![target_id];
-    while let Some(Some(p)) = parent.get(ids.last().expect("non-empty")) {
-        ids.push(*p);
-    }
-    ids.reverse();
-    Some(crate::ExecutionTrace::new(space.materialize(&ids)))
+    states.reverse();
+    Some(crate::ExecutionTrace::new(states))
+}
+
+/// The state-typed sweep behind the structural checks, the census and the
+/// s-diameter table: `check(depth, level, layers)` sees the states of each
+/// level reachable within `depth_limit` layers and, below `depth_limit`,
+/// each state's successor list (`layers` is empty at the last level and
+/// past a dead end, where `level` is empty too). Returns the first `Some`.
+pub fn find_in_levels<M: LayeredModel, T>(
+    model: &M,
+    depth_limit: usize,
+    obs: &dyn Observer,
+    mut check: impl FnMut(usize, &[M::State], &[Vec<M::State>]) -> Option<T>,
+) -> Option<T> {
+    // The arena only numbers states: each is expanded once, so successor
+    // lists go uncached, and the states of the next level are kept as
+    // their ids are first pushed.
+    let mut space: StateSpace<M> = StateSpace::new_boxed(model);
+    let roots = space.intern_all(model, &model.initial_states(), &NOOP);
+    let (mut reached, mut kept) = (0, Vec::new());
+    sweep(roots, obs, |depth, level, next| {
+        reached = depth + 1;
+        let states = match depth {
+            0 => space.materialize(level),
+            _ => std::mem::take(&mut kept),
+        };
+        let mut layers = Vec::new();
+        if depth < depth_limit {
+            for x in &states {
+                let layer = model.successors(x);
+                for y in &layer {
+                    let width = next.len();
+                    next.push(space.intern(model, y).0);
+                    if next.len() > width {
+                        kept.push(y.clone());
+                    }
+                }
+                layers.push(layer);
+            }
+        }
+        check(depth, &states, &layers).map_or(ControlFlow::Continue(()), ControlFlow::Break)
+    })
+    .break_value()
+    .or_else(|| (reached..=depth_limit).find_map(|d| check(d, &[], &[])))
 }
 
 fn failed_set<M: LayeredModel>(model: &M, x: &M::State) -> Vec<Pid> {
@@ -289,10 +311,9 @@ pub fn check_crash_display<M: LayeredModel>(
     depth_limit: usize,
 ) -> Option<(M::State, M::State, Pid)> {
     let n = model.num_processes();
-    let mut frontier = model.initial_states();
-    for depth in 0..=depth_limit {
-        for (ai, x) in frontier.iter().enumerate() {
-            for y in &frontier[ai..] {
+    find_in_levels(model, depth_limit, &NOOP, |_, level, _| {
+        for (ai, x) in level.iter().enumerate() {
+            for y in &level[ai..] {
                 for j in Pid::all(n) {
                     if !model.agree_modulo(x, y, j) {
                         continue;
@@ -314,24 +335,8 @@ pub fn check_crash_display<M: LayeredModel>(
                 }
             }
         }
-        if depth == depth_limit {
-            break;
-        }
-        let mut seen = HashSet::new();
-        let mut next = Vec::new();
-        for x in &frontier {
-            for s in model.successors(x) {
-                if seen.insert(s.clone()) {
-                    next.push(s);
-                }
-            }
-        }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    None
+        None
+    })
 }
 
 /// Verifies the inductive form of *fault independence* up to `depth_limit`:
@@ -342,36 +347,18 @@ pub fn check_fault_independence<M: LayeredModel>(
     model: &M,
     depth_limit: usize,
 ) -> Option<M::State> {
-    let mut frontier = model.initial_states();
-    for depth in 0..=depth_limit {
-        for x in &frontier {
-            let fx = failed_set(model, x);
-            let ok = model
-                .successors(x)
-                .iter()
-                .any(|y| failed_set(model, y) == fx);
-            if !ok {
-                return Some(x.clone());
-            }
-        }
-        if depth == depth_limit {
-            break;
-        }
-        let mut seen = HashSet::new();
-        let mut next = Vec::new();
-        for x in &frontier {
-            for s in model.successors(x) {
-                if seen.insert(s.clone()) {
-                    next.push(s);
-                }
-            }
-        }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    None
+    find_in_levels(model, depth_limit, &NOOP, |_, level, _| {
+        level
+            .iter()
+            .find(|x| {
+                let fx = failed_set(model, x);
+                !model
+                    .successors(x)
+                    .iter()
+                    .any(|y| failed_set(model, y) == fx)
+            })
+            .cloned()
+    })
 }
 
 /// Validates the grading contract up to `depth_limit`: all initial states
@@ -379,6 +366,10 @@ pub fn check_fault_independence<M: LayeredModel>(
 /// and duplicate-free, and failed sets only grow along edges.
 ///
 /// Returns a description of the first contract breach.
+///
+/// Unlike every other sweep, this one walks raw `successors` instead of
+/// [`sweep`]: it validates the duplicate-free, depth-graded successor
+/// contract that the arena and the sweep driver rely on.
 pub fn check_graded<M: LayeredModel>(model: &M, depth_limit: usize) -> Option<String> {
     let mut frontier = model.initial_states();
     for x in &frontier {

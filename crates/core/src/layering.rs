@@ -20,11 +20,11 @@
 //! already violates Decision/Agreement/Validity at the horizon, which the
 //! [checker](crate::checker) surfaces separately.
 
-use std::collections::HashSet;
+use std::ops::ControlFlow;
 
 use crate::connectivity::{valence_report_ids, ConnectivityReport};
 use crate::model::ExecutionTrace;
-use crate::space::{Arena, Canonicalization, StateId};
+use crate::space::{sweep, Arena, Canonicalization, StateId};
 use crate::sym::Symmetric;
 use crate::telemetry::Span;
 use crate::valence::{undecided_non_failed, QuotientSolver, Solver, Valence};
@@ -313,21 +313,14 @@ pub fn scan_layer_valence_connectivity<M: LayeredModel, C: Canonicalization<M>>(
     let model = solver.model();
     let obs = solver.observer();
     let _span = Span::enter(obs, "layering.layer_scan");
-    let mut frontier: Vec<StateId> = Vec::new();
-    let mut roots_seen: HashSet<StateId> = HashSet::new();
-    for x in model.initial_states() {
-        let id = solver.intern(&x);
-        if roots_seen.insert(id) {
-            frontier.push(id);
-        }
-    }
-    let mut states_seen = frontier.len();
+    let roots = solver
+        .space_mut()
+        .intern_all(model, &model.initial_states(), obs);
+    let mut states_seen = 0;
     let mut layers_checked = 0;
-    obs.gauge("engine.frontier_width", frontier.len() as u64);
-    for _ in 0..=depth_limit {
-        let mut next: Vec<StateId> = Vec::new();
-        let mut seen: HashSet<StateId> = HashSet::new();
-        for &id in &frontier {
+    let violation = sweep(roots, obs, |depth, level, next| {
+        states_seen += level.len();
+        for &id in level {
             obs.counter("engine.states_visited", 1);
             let _check_span =
                 Span::enter_with(obs, "layering.check_layer", &[("state", id.index() as u64)]);
@@ -354,33 +347,19 @@ pub fn scan_layer_valence_connectivity<M: LayeredModel, C: Canonicalization<M>>(
                         report.components
                     ),
                 );
-                return LayerScan {
-                    layers_checked,
-                    states_seen,
-                    violation: Some((solver.space().resolve(id), report)),
-                };
+                return ControlFlow::Break((solver.space().resolve(id), report));
             }
-            if model.depth(&solver.space().resolve(id)) < depth_limit {
-                for y in layer {
-                    if seen.insert(y) {
-                        next.push(y);
-                    } else {
-                        obs.counter("engine.dedup_hits", 1);
-                    }
-                }
+            if depth < depth_limit {
+                next.extend(layer);
             }
         }
-        frontier = next;
-        obs.gauge("engine.frontier_width", frontier.len() as u64);
-        states_seen += frontier.len();
-        if frontier.is_empty() {
-            break;
-        }
-    }
+        ControlFlow::Continue(())
+    })
+    .break_value();
     LayerScan {
         layers_checked,
         states_seen,
-        violation: None,
+        violation,
     }
 }
 
@@ -491,83 +470,33 @@ fn lemma_sweep<M: LayeredModel>(
 ) -> Option<M::State> {
     let model = solver.model();
     let obs = solver.observer();
-    let mut frontier: Vec<StateId> = Vec::new();
-    let mut roots_seen: HashSet<StateId> = HashSet::new();
-    for x in model.initial_states() {
-        let id = solver.intern(&x);
-        if roots_seen.insert(id) {
-            frontier.push(id);
-        }
-    }
-    for _ in 0..=depth_limit {
-        let mut next: Vec<StateId> = Vec::new();
-        let mut seen: HashSet<StateId> = HashSet::new();
-        for &id in &frontier {
+    let roots = solver
+        .space_mut()
+        .intern_all(model, &model.initial_states(), obs);
+    sweep(roots, obs, |depth, level, next| {
+        for &id in level {
             obs.counter("engine.states_visited", 1);
-            precheck(model, &solver.space().resolve(id));
+            let x = solver.space().resolve(id);
+            precheck(model, &x);
             if solver.valence_id(id) == Valence::Bivalent
-                && undecided_non_failed(model, &solver.space().resolve(id)).len() < min_undecided
+                && undecided_non_failed(model, &x).len() < min_undecided
             {
-                return Some(solver.space().resolve(id));
+                return ControlFlow::Break(x);
             }
-            if model.depth(&solver.space().resolve(id)) < depth_limit {
-                for y in solver.successor_ids(id) {
-                    if seen.insert(y) {
-                        next.push(y);
-                    } else {
-                        obs.counter("engine.dedup_hits", 1);
-                    }
-                }
+            if depth < depth_limit {
+                next.extend(solver.successor_ids(id));
             }
         }
-        frontier = next;
-        obs.gauge("engine.frontier_width", frontier.len() as u64);
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    None
+        ControlFlow::Continue(())
+    })
+    .break_value()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{flp_diamond, ScriptedModelBuilder};
+    use crate::testkit::{bivalent_spine, flp_diamond, ScriptedModelBuilder};
     use crate::Value;
-
-    /// A model where the root stays bivalent for 3 layers:
-    /// a chain of bivalent states each with a decided 0-branch and 1-branch.
-    fn bivalent_spine(depth: usize) -> crate::testkit::ScriptedModel {
-        let mut b = ScriptedModelBuilder::new(2, 1).initial(&[Value::ZERO, Value::ONE], 0);
-        // ids: spine state at depth d = d; leaf0 at 100+d; leaf1 at 200+d.
-        for d in 0..depth {
-            let (s, s2) = (d as u32, (d + 1) as u32);
-            let (l0, l1) = (100 + d as u32, 200 + d as u32);
-            b = b
-                .edge(s, s2)
-                .edge(s, l0)
-                .edge(s, l1)
-                .depth(s, d)
-                .depth(l0, d + 1)
-                .depth(l1, d + 1)
-                .decision(l0, 0, Value::ZERO)
-                .decision(l1, 1, Value::ONE)
-                // spine, leaf0, leaf1 pairwise linked for valence via spine
-                .agree(s2, l0, 1)
-                .agree(s2, l1, 0);
-        }
-        // terminal spine state decides both ways one last time
-        let s = depth as u32;
-        b = b
-            .depth(s, depth)
-            .edge(s, 100 + depth as u32)
-            .edge(s, 200 + depth as u32)
-            .depth(100 + depth as u32, depth + 1)
-            .depth(200 + depth as u32, depth + 1)
-            .decision(100 + depth as u32, 0, Value::ZERO)
-            .decision(200 + depth as u32, 1, Value::ONE);
-        b.build()
-    }
 
     #[test]
     fn bivalent_successor_finds_spine() {

@@ -81,16 +81,19 @@
 pub mod canon;
 pub mod pack;
 pub mod snapshot;
+mod sweep;
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
+use std::ops::ControlFlow;
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
 use fxhash::{FxHashMap, FxHasher};
 
 pub use self::canon::{Canonicalization, Identity, OrbitMin};
 use self::pack::{word_hash, StatePacker, SPILL_TAG};
+pub use self::sweep::{sweep, NextLevel};
 use crate::sym::{PidPerm, Symmetric};
 use crate::telemetry::{
     clock, trace, Heartbeat, MemoryBreakdown, MemoryFootprint, Observer, Span, NOOP,
@@ -931,6 +934,13 @@ impl<M: LayeredModel, C: Canonicalization<M>> Arena<M, C> {
         (self.intern_canonical(&rep, orbit, obs), witness)
     }
 
+    /// [`Arena::intern_with`] for each of `xs`, in order: their ids.
+    pub fn intern_all(&mut self, model: &M, xs: &[M::State], obs: &dyn Observer) -> Vec<StateId> {
+        xs.iter()
+            .map(|x| self.intern_with(model, x, obs).0)
+            .collect()
+    }
+
     /// The id of `x`'s representative if it has been interned, without
     /// interning it.
     #[must_use]
@@ -1293,27 +1303,20 @@ impl<M: LayeredModel, C: Canonicalization<M>> Arena<M, C> {
     ) -> Vec<Vec<StateId>> {
         let _span = Span::enter(obs, "space.build");
         obs.gauge("space.shard.count", SHARD_COUNT as u64);
+        let root_ids = self.intern_all(model, roots, obs);
         let mut levels: Vec<Vec<StateId>> = Vec::with_capacity(horizon + 1);
-        let mut frontier: Vec<StateId> = Vec::new();
-        let mut seen: HashSet<StateId> = HashSet::new();
-        for r in roots {
-            let (id, _) = self.intern_with(model, r, obs);
-            if seen.insert(id) {
-                frontier.push(id);
-            } else {
-                obs.counter("engine.dedup_hits", 1);
-            }
-        }
-        obs.gauge("engine.frontier_width", frontier.len() as u64);
-        levels.push(frontier.clone());
         let mut heartbeat = Heartbeat::new();
-        for depth in 0..horizon {
+        let _: ControlFlow<()> = sweep(root_ids.iter().copied(), obs, |depth, level, next| {
+            levels.push(level.to_vec());
+            if depth == horizon {
+                return ControlFlow::Continue(());
+            }
             let _layer_span = Span::enter_with(
                 obs,
                 "space.layer",
                 &[
                     ("depth", depth as u64 + 1),
-                    ("frontier", frontier.len() as u64),
+                    ("frontier", level.len() as u64),
                 ],
             );
             let layer_started = if obs.enabled() {
@@ -1321,18 +1324,10 @@ impl<M: LayeredModel, C: Canonicalization<M>> Arena<M, C> {
             } else {
                 0
             };
-            prefetch(self, &frontier);
-            let mut seen: HashSet<StateId> = HashSet::new();
-            let mut next = Vec::new();
-            for &id in &frontier {
+            prefetch(self, level);
+            for &id in level {
                 obs.counter("engine.states_visited", 1);
-                for y in self.successor_ids(model, id, obs) {
-                    if seen.insert(y) {
-                        next.push(y);
-                    } else {
-                        obs.counter("engine.dedup_hits", 1);
-                    }
-                }
+                next.extend(self.successor_ids(model, id, obs));
             }
             if obs.enabled() {
                 obs.histogram(
@@ -1340,10 +1335,14 @@ impl<M: LayeredModel, C: Canonicalization<M>> Arena<M, C> {
                     clock::monotonic_ns().saturating_sub(layer_started),
                 );
             }
-            obs.gauge("engine.frontier_width", next.len() as u64);
             heartbeat.tick(obs, depth + 1, next.len(), self.len());
-            levels.push(next.clone());
-            frontier = next;
+            ControlFlow::Continue(())
+        });
+        levels.resize(horizon + 1, Vec::new());
+        // Unlike the sweep driver, expansion counts duplicate roots.
+        let dup_roots = root_ids.len() - levels[0].len();
+        if dup_roots > 0 {
+            obs.counter("engine.dedup_hits", dup_roots as u64);
         }
         levels
     }

@@ -6,8 +6,7 @@
 //! level: distinct states, layer sizes, deduplication factors, and decided
 //! fractions; the experiment harness tabulates them per model.
 
-use std::collections::HashSet;
-
+use crate::checker::find_in_levels;
 use crate::telemetry::{Observer, Span, NOOP};
 use crate::{LayeredModel, Pid};
 
@@ -66,49 +65,23 @@ pub fn census_with<M: LayeredModel>(
     let _span = Span::enter(obs, "stats.census");
     let n = model.num_processes();
     let mut out = Vec::with_capacity(depth + 1);
-    let mut level = model.initial_states();
-    for d in 0..=depth {
-        obs.gauge("engine.frontier_width", level.len() as u64);
-        let mut edges = 0usize;
-        let mut min_layer = usize::MAX;
-        let mut max_layer = 0usize;
-        let mut next = Vec::new();
-        let mut seen = HashSet::new();
+    let _: Option<()> = find_in_levels(model, depth, obs, |d, level, layers| {
         let with_decisions = level
             .iter()
             .filter(|x| Pid::all(n).any(|i| model.decision(x, i).is_some()))
             .count();
         obs.counter("engine.states_visited", level.len() as u64);
         obs.counter("census.decided_states", with_decisions as u64);
-        if d < depth {
-            for x in &level {
-                let layer = model.successors(x);
-                edges += layer.len();
-                min_layer = min_layer.min(layer.len());
-                max_layer = max_layer.max(layer.len());
-                for y in layer {
-                    if seen.insert(y.clone()) {
-                        next.push(y);
-                    } else {
-                        obs.counter("engine.dedup_hits", 1);
-                    }
-                }
-            }
-        }
         out.push(LevelCensus {
             depth: d,
             states: level.len(),
-            edges,
-            min_layer: if min_layer == usize::MAX {
-                0
-            } else {
-                min_layer
-            },
-            max_layer,
+            edges: layers.iter().map(Vec::len).sum(),
+            min_layer: layers.iter().map(Vec::len).min().unwrap_or(0),
+            max_layer: layers.iter().map(Vec::len).max().unwrap_or(0),
             with_decisions,
         });
-        level = next;
-    }
+        None
+    });
     out
 }
 

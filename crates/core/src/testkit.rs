@@ -12,7 +12,7 @@
 //! doc-tests and downstream crates' tests can use them; they are not part of
 //! the conceptual API surface.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use crate::space::pack::StatePacker;
 use crate::space::snapshot::{SnapshotError, SnapshotReader, SnapshotState};
@@ -35,6 +35,27 @@ pub fn reachable_space<M: LayeredModel>(
     let roots = model.initial_states();
     let levels = space.expand_layers(model, &roots, horizon, &NOOP);
     (space, levels)
+}
+
+/// The reference breadth-first exploration the engine is cross-checked
+/// against: raw states keyed by their full `Ord` in a `BTreeSet`, with no
+/// arena, interning, packing, symmetry or threads. `levels[d]` holds the
+/// states at depth `d` from `roots`, for `horizon` layers.
+pub fn naive_levels<M: LayeredModel>(
+    model: &M,
+    roots: &[M::State],
+    horizon: usize,
+) -> Vec<BTreeSet<M::State>>
+where
+    M::State: Ord,
+{
+    let mut levels = vec![roots.iter().cloned().collect::<BTreeSet<_>>()];
+    for _ in 0..horizon {
+        let last = levels.last().expect("level 0 exists");
+        let next = last.iter().flat_map(|x| model.successors(x)).collect();
+        levels.push(next);
+    }
+    levels
 }
 
 /// A trivial graded model: each state has `branch` successors, no decisions,
@@ -417,6 +438,29 @@ pub fn flp_diamond() -> ScriptedModel {
         .decision(4, 0, Value::ONE)
         .agree(1, 2, 1)
         .build()
+}
+
+/// A bivalent spine `0 → 1 → ⋯ → depth`: spine state `d` also steps to
+/// leaves `100 + d` (decided 0) and `200 + d` (decided 1), and the states of
+/// each layer are linked for valence connectivity.
+#[must_use]
+pub fn bivalent_spine(depth: usize) -> ScriptedModel {
+    let mut b = ScriptedModelBuilder::new(2, 1).initial(&[Value::ZERO, Value::ONE], 0);
+    for d in 0..=depth {
+        let (s, l0, l1) = (d as u32, 100 + d as u32, 200 + d as u32);
+        if d < depth {
+            b = b.edge(s, s + 1).agree(s + 1, l0, 1).agree(s + 1, l1, 0);
+        }
+        b = b
+            .edge(s, l0)
+            .edge(s, l1)
+            .depth(s, d)
+            .depth(l0, d + 1)
+            .depth(l1, d + 1)
+            .decision(l0, 0, Value::ZERO)
+            .decision(l1, 1, Value::ONE);
+    }
+    b.build()
 }
 
 #[cfg(test)]

@@ -246,41 +246,11 @@ impl InternedWitness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{flp_diamond, ScriptedModelBuilder};
-    use crate::Value;
-
-    fn spine() -> crate::testkit::ScriptedModel {
-        // 0 -> 1 -> 2 spine with decided leaves at each level (see
-        // layering.rs tests for the same shape).
-        let mut b = ScriptedModelBuilder::new(2, 1).initial(&[Value::ZERO, Value::ONE], 0);
-        for d in 0..2 {
-            let (s, s2) = (d as u32, (d + 1) as u32);
-            let (l0, l1) = (100 + d as u32, 200 + d as u32);
-            b = b
-                .edge(s, s2)
-                .edge(s, l0)
-                .edge(s, l1)
-                .depth(s, d)
-                .depth(l0, d + 1)
-                .depth(l1, d + 1)
-                .decision(l0, 0, Value::ZERO)
-                .decision(l1, 1, Value::ONE)
-                .agree(s2, l0, 1)
-                .agree(s2, l1, 0);
-        }
-        b.depth(2, 2)
-            .edge(2, 102)
-            .edge(2, 202)
-            .depth(102, 3)
-            .depth(202, 3)
-            .decision(102, 0, Value::ZERO)
-            .decision(202, 1, Value::ONE)
-            .build()
-    }
+    use crate::testkit::{bivalent_spine, flp_diamond};
 
     #[test]
     fn witness_builds_and_verifies_on_spine() {
-        let m = spine();
+        let m = bivalent_spine(2);
         let w = ImpossibilityWitness::build(&m, 3, 2).expect("spine stays bivalent");
         assert_eq!(w.len(), 2);
         assert!(w.verify(&m).is_ok());
@@ -294,7 +264,7 @@ mod tests {
 
     #[test]
     fn tampered_witness_is_rejected() {
-        let m = spine();
+        let m = bivalent_spine(2);
         let w = ImpossibilityWitness::build(&m, 3, 2).expect("witness");
 
         // Tamper with the chain: replace the last state with a univalent leaf.

@@ -4,8 +4,12 @@
 
 use proptest::prelude::*;
 
-use layered_core::testkit::{reachable_space, CounterModel};
-use layered_core::{LayeredModel, NoopObserver, StateSpace};
+use std::collections::BTreeSet;
+
+use layered_core::testkit::{
+    flp_diamond, naive_levels, reachable_space, CounterModel, ScriptedModel, ScriptedModelBuilder,
+};
+use layered_core::{binary_input_vectors, explore, LayeredModel, NoopObserver, StateSpace};
 
 /// Every distinct state reachable in 3 layers of a 3-way branching model —
 /// the pool random interning orders draw from.
@@ -17,6 +21,24 @@ fn pool() -> Vec<<CounterModel as LayeredModel>::State> {
         .flatten()
         .map(|id| space.resolve(id))
         .collect()
+}
+
+/// A layered DAG on a grid of width 4: the four initial states are nodes
+/// 0..4, and each `(d, i, j)` adds the edge from node `i` of layer `d` to
+/// node `j` of layer `d + 1` (node `4d + i`), so parents often share
+/// children.
+fn dag(edges: &[(u32, u32, u32)]) -> ScriptedModel {
+    let mut b = ScriptedModelBuilder::new(2, 1);
+    for (id, inputs) in binary_input_vectors(2).iter().enumerate() {
+        b = b.initial(inputs, id as u32);
+    }
+    let edges: BTreeSet<(u32, u32, u32)> = edges.iter().copied().collect();
+    for (d, i, j) in edges {
+        b = b
+            .edge(4 * d + i, 4 * (d + 1) + j)
+            .depth(4 * (d + 1) + j, d as usize + 1);
+    }
+    b.build()
 }
 
 fn arb_picks() -> impl Strategy<Value = Vec<usize>> {
@@ -71,5 +93,25 @@ proptest! {
         prop_assert_eq!(a, b);
         prop_assert_eq!(seq.len(), par.len());
         prop_assert_eq!(seq.edge_count(), par.edge_count());
+    }
+
+    /// `explore` levels equal the naive raw-state BFS of the testkit on
+    /// models whose successors merge: the FLP diamond and random DAGs.
+    #[test]
+    fn explore_matches_naive_bfs(
+        edges in proptest::collection::vec((0u32..3, 0u32..4, 0u32..4), 0..24),
+        horizon in 0usize..5,
+    ) {
+        for m in [flp_diamond(), dag(&edges)] {
+            let roots = m.initial_states();
+            let levels = explore(&m, &roots, horizon).levels;
+            let oracle = naive_levels(&m, &roots, horizon);
+            prop_assert_eq!(levels.len(), oracle.len());
+            for (level, want) in levels.iter().zip(&oracle) {
+                let got: BTreeSet<u32> = level.iter().copied().collect();
+                prop_assert_eq!(got.len(), level.len(), "a level repeats a state");
+                prop_assert_eq!(&got, want);
+            }
+        }
     }
 }

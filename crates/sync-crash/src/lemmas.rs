@@ -4,9 +4,13 @@
 //! search exhaustively for counterexamples), so every claim of Section 6 is
 //! reproduced as a checkable artifact rather than re-proved on paper.
 
+use std::ops::ControlFlow;
+
+use layered_core::checker::find_in_levels;
+use layered_core::space::sweep;
+use layered_core::telemetry::NOOP;
 use layered_core::{
-    extend_bivalent_run, undecided_non_failed, BivalentRunOutcome, LayeredModel, NoopObserver, Pid,
-    StateId, StateSpace, ValenceSolver,
+    extend_bivalent_run, undecided_non_failed, BivalentRunOutcome, LayeredModel, Pid, ValenceSolver,
 };
 use layered_protocols::SyncProtocol;
 
@@ -64,38 +68,31 @@ pub fn check_lemma_6_4<P: SyncProtocol>(
     solver: &mut ValenceSolver<'_, CrashModel<P>>,
     limit: usize,
 ) -> Option<CrashState<P::LocalState>> {
-    // The sweep runs entirely on arena ids: states with many failures are
-    // re-reached along many failure orders, and interning collapses them
-    // once instead of re-hashing full round states at every level. (Crash
-    // states embed their round, so a state occurs at exactly one depth and
-    // the global dedup below matches the per-level dedup it replaces.)
-    let mut seen = std::collections::HashSet::new();
-    let mut frontier: Vec<StateId> = model
-        .initial_states()
-        .iter()
-        .map(|x| solver.intern(x))
-        .filter(|id| seen.insert(*id))
-        .collect();
-    for k in 0..limit {
-        let mut next = Vec::new();
-        for &id in &frontier {
+    let obs = solver.observer();
+    let roots = solver
+        .space_mut()
+        .intern_all(model, &model.initial_states(), obs);
+    sweep(roots, obs, |k, level, next| {
+        // Level `limit` is reached but not checked.
+        if k == limit {
+            return ControlFlow::Continue(());
+        }
+        for &id in level {
+            obs.counter("engine.states_visited", 1);
+            let x = solver.space().resolve(id);
             // Only executions with at most k failures by round k qualify.
-            let qualifies = solver.space().resolve(id).failure_count() <= k;
-            if qualifies {
-                let y = model.apply(&solver.space().resolve(id), None); // failure-free round k+1
+            if x.failure_count() <= k {
+                let y = model.apply(&x, None); // failure-free round k+1
                 let yid = solver.intern(&y);
                 if solver.is_bivalent_id(yid) {
-                    return Some(solver.space().resolve(yid));
+                    return ControlFlow::Break(solver.space().resolve(yid));
                 }
             }
             next.extend(solver.successor_ids(id));
         }
-        frontier = next.into_iter().filter(|id| seen.insert(*id)).collect();
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    None
+        ControlFlow::Continue(())
+    })
+    .break_value()
 }
 
 /// The arbitrary-crash display property, checked in its inductive form on
@@ -113,55 +110,24 @@ pub fn check_display_below_budget<P: SyncProtocol>(
 ) -> Option<(CrashState<P::LocalState>, CrashState<P::LocalState>, Pid)> {
     let n = model.num_processes();
     let t = model.resilience();
-    let obs = NoopObserver;
-    let mut space: StateSpace<CrashModel<P>> = StateSpace::new_boxed(model);
-    let mut seen = std::collections::HashSet::new();
-    let mut frontier: Vec<StateId> = model
-        .initial_states()
-        .iter()
-        .map(|x| space.intern(model, x).0)
-        .filter(|id| seen.insert(*id))
-        .collect();
-    for depth in 0..=depth_limit {
-        for (ai, &a) in frontier.iter().enumerate() {
-            let x = space.resolve(a);
-            if x.failure_count() >= t {
-                continue;
-            }
-            for &b in &frontier[ai..] {
-                let y = space.resolve(b);
-                if y.failure_count() >= t {
-                    continue;
-                }
+    find_in_levels(model, depth_limit, &NOOP, |_, level, _| {
+        let below: Vec<_> = level.iter().filter(|x| x.failure_count() < t).collect();
+        for (ai, &x) in below.iter().enumerate() {
+            for &y in &below[ai..] {
                 for j in Pid::all(n) {
-                    if !model.agree_modulo(&x, &y, j) {
+                    if !model.agree_modulo(x, y, j) {
                         continue;
                     }
-                    let cx = model.crash_step(&x, j);
-                    let cy = model.crash_step(&y, j);
+                    let cx = model.crash_step(x, j);
+                    let cy = model.crash_step(y, j);
                     if !model.agree_modulo(&cx, &cy, j) {
                         return Some((x.clone(), y.clone(), j));
                     }
                 }
             }
         }
-        if depth == depth_limit {
-            break;
-        }
-        let mut next = Vec::new();
-        for &id in &frontier {
-            for s in space.successor_ids(model, id, &obs) {
-                if seen.insert(s) {
-                    next.push(s);
-                }
-            }
-        }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    None
+        None
+    })
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //! spans are 1-thick-connected have passing protocols, and tasks whose
 //! spans are not (consensus) fail for every candidate.
 
-use std::collections::HashSet;
-
+use layered_core::checker::check_requirements;
+use layered_core::telemetry::NOOP;
 use layered_core::{LayeredModel, Pid};
 
 use crate::covering::decided_simplex;
@@ -81,58 +81,30 @@ pub fn check_task<M: LayeredModel>(
         task.num_processes(),
         "model and task must agree on n"
     );
-    let mut report = TaskReport {
-        states_explored: 0,
-        horizon,
-        violations: Vec::new(),
-    };
-    let mut frontier: Vec<M::State> = task
+    let roots: Vec<_> = task
         .inputs()
         .iter()
-        .map(|inputs| model.initial_state(inputs))
+        .map(|v| model.initial_state(v))
         .collect();
-    for depth in 0..=horizon {
-        let mut next = Vec::new();
-        for x in &frontier {
-            report.states_explored += 1;
+    let (states_explored, violations) =
+        check_requirements(model, &roots, horizon, max_violations, &NOOP, |x, due| {
             let decisions = decided_simplex(model, x);
-            if !task.decision_allowed(&model.inputs_of(x), &decisions)
-                && report.violations.len() < max_violations
-            {
-                report.violations.push(TaskViolation::Validity {
-                    state: x.clone(),
-                    decisions,
-                });
-            }
-            if depth == horizon {
-                let undecided: Vec<Pid> = model
-                    .obligated(x)
-                    .into_iter()
-                    .filter(|&i| model.decision(x, i).is_none())
-                    .collect();
-                if !undecided.is_empty() && report.violations.len() < max_violations {
-                    report.violations.push(TaskViolation::Decision {
-                        state: x.clone(),
-                        undecided,
-                    });
-                }
-            } else {
-                next.extend(model.successors(x));
-            }
-            if report.violations.len() >= max_violations {
-                return report;
-            }
-        }
-        let mut seen = HashSet::new();
-        frontier = next
-            .into_iter()
-            .filter(|s| seen.insert(s.clone()))
-            .collect();
-        if frontier.is_empty() {
-            break;
-        }
+            let invalid = !task.decision_allowed(&model.inputs_of(x), &decisions);
+            let validity = invalid.then(|| TaskViolation::Validity {
+                state: x.clone(),
+                decisions,
+            });
+            let decision = due.map(|undecided| TaskViolation::Decision {
+                state: x.clone(),
+                undecided,
+            });
+            validity.into_iter().chain(decision).collect()
+        });
+    TaskReport {
+        states_explored,
+        horizon,
+        violations,
     }
-    report
 }
 
 #[cfg(test)]

@@ -12,6 +12,8 @@
 //! tabulates them against the recurrence, so the bound can be *checked*
 //! rather than assumed.
 
+use layered_core::checker::find_in_levels;
+use layered_core::telemetry::NOOP;
 use layered_core::{s_diameter, LayeredModel};
 
 /// The Lemma 7.6 bound on the s-diameter of `S(X)`.
@@ -53,53 +55,28 @@ impl DiameterRow {
 /// Measures s-diameters of the depth-`m` state sets for `m = 0..=depth`
 /// and tabulates them against the Lemma 7.6 recurrence.
 pub fn diameter_sweep<M: LayeredModel>(model: &M, depth: usize) -> Vec<DiameterRow> {
-    let mut rows = Vec::with_capacity(depth + 1);
-    let mut level = model.initial_states();
-    let mut prev_measured = None;
-    for m in 0..=depth {
-        let measured = s_diameter(model, &level);
-        // d_Y^m: the worst layer diameter over this level (used for the
-        // next row's bound).
-        let mut layer_diameter = Some(0usize);
-        let mut next = Vec::new();
-        if m < depth {
-            let mut seen = std::collections::HashSet::new();
-            for x in &level {
-                let layer = model.successors(x);
-                match (s_diameter(model, &layer), layer_diameter) {
-                    (Some(d), Some(cur)) => layer_diameter = Some(cur.max(d)),
-                    _ => layer_diameter = None,
-                }
-                for y in layer {
-                    if seen.insert(y.clone()) {
-                        next.push(y);
-                    }
-                }
-            }
-        } else {
-            layer_diameter = None;
-        }
-        let bound = match (
-            m,
-            prev_measured,
-            rows.last().and_then(|r: &DiameterRow| r.layer_diameter),
-        ) {
-            (0, _, _) => None,
-            (_, Some(dx), Some(dy)) => Some(lemma_7_6_bound(dx, dy)),
-            _ => None,
-        };
+    let mut rows: Vec<DiameterRow> = Vec::with_capacity(depth + 1);
+    let _: Option<()> = find_in_levels(model, depth, &NOOP, |m, level, layers| {
+        let bound = rows
+            .last()
+            .and_then(|p| Some(lemma_7_6_bound(p.measured?, p.layer_diameter?)));
         rows.push(DiameterRow {
             depth: m,
             states: level.len(),
-            measured,
-            layer_diameter,
+            measured: s_diameter(model, level),
+            // d_Y^m: the worst layer diameter over this level (used for the
+            // next row's bound).
+            layer_diameter: (m < depth)
+                .then(|| {
+                    layers
+                        .iter()
+                        .try_fold(0, |cur, layer| Some(cur.max(s_diameter(model, layer)?)))
+                })
+                .flatten(),
             bound,
         });
-        prev_measured = measured;
-        level = next;
-    }
-    // `layer_diameter` on row m was computed as we advanced; shift so each
-    // row reports the layer diameter *of its own level* (already the case).
+        None
+    });
     rows
 }
 
